@@ -10,9 +10,10 @@
 #include "transform/Transforms.h"
 
 #include <cassert>
+#include <cstdint>
 #include <cstdlib>
+#include <map>
 #include <memory>
-#include <unordered_set>
 
 using namespace nv;
 
@@ -268,59 +269,174 @@ const Value *nv::scenarioKey(NvContext &Ctx, const FtScenario &S,
 // FtChecker
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+/// One node's label diagram compiled to the region of the key space where
+/// the node's assert fails. Only diagram nodes with a path to a failing
+/// leaf are kept; a child >= 0 indexes Nodes, Pass marks "the assert
+/// holds", and failRef(K) marks "fails with route Failing[K]". The DAG
+/// holds no MTBDD Refs, so a collection that compacts the node store
+/// cannot invalidate it.
+struct FailDag {
+  struct Node {
+    uint32_t Var;     ///< Key bit tested (the diagram's variable).
+    int32_t Child[2]; ///< Child[B]: the subtree when the bit is B.
+  };
+  static constexpr int32_t Pass = -1;
+  static int32_t failRef(size_t K) { return -2 - static_cast<int32_t>(K); }
+
+  std::vector<Node> Nodes;
+  std::vector<const Value *> Failing; ///< Route leaves whose assert fails.
+  int32_t Root = Pass;
+
+  /// The failing route under the key \p Key (bit-packed, diagram order),
+  /// or null when the assert holds.
+  const Value *lookup(const uint64_t *Key) const {
+    int32_t R = Root;
+    while (R >= 0) {
+      const Node &N = Nodes[R];
+      R = N.Child[(Key[N.Var >> 6] >> (N.Var & 63)) & 1];
+    }
+    return R == Pass ? nullptr : Failing[-2 - R];
+  }
+};
+
+/// Compiles label diagrams into FailDags: one memoized walk per label,
+/// evaluating the assert once per (node, distinct leaf) in first-visit
+/// order (Lo before Hi).
+class FailDagBuilder {
+public:
+  FailDagBuilder(const BddManager &Mgr, ProtocolEvaluator &BaseEval)
+      : Mgr(Mgr), BaseEval(BaseEval), Memo(Mgr.numNodes(), Unvisited) {}
+
+  FailDag build(uint32_t U, BddManager::Ref Root) {
+    this->U = U;
+    Out = FailDag();
+    Out.Root = compile(Root);
+    for (BddManager::Ref R : Touched)
+      Memo[R] = Unvisited;
+    Touched.clear();
+    return std::move(Out);
+  }
+
+private:
+  static constexpr int32_t Unvisited = INT32_MIN;
+
+  int32_t compile(BddManager::Ref R) {
+    if (Memo[R] != Unvisited)
+      return Memo[R];
+    int32_t Result;
+    if (Mgr.isLeaf(R)) {
+      const auto *Route = static_cast<const Value *>(Mgr.leafPayload(R));
+      if (BaseEval.assertAt(U, Route)) {
+        Result = FailDag::Pass;
+      } else {
+        Result = FailDag::failRef(Out.Failing.size());
+        Out.Failing.push_back(Route);
+      }
+    } else {
+      // By value: the assert may allocate MTBDD nodes, growing the store.
+      const BddManager::Node N = Mgr.node(R);
+      int32_t Lo = compile(N.Lo);
+      int32_t Hi = compile(N.Hi);
+      if (Lo == Hi) {
+        Result = Lo;
+      } else {
+        Result = static_cast<int32_t>(Out.Nodes.size());
+        Out.Nodes.push_back({N.Var, {Lo, Hi}});
+      }
+    }
+    Memo[R] = Result;
+    Touched.push_back(R);
+    return Result;
+  }
+
+  const BddManager &Mgr;
+  ProtocolEvaluator &BaseEval;
+  /// Per-Ref result of the current label's walk. Sized to the store at
+  /// construction: label diagrams only reach nodes that existed then.
+  std::vector<int32_t> Memo;
+  std::vector<BddManager::Ref> Touched;
+  uint32_t U = 0;
+  FailDag Out;
+};
+
+} // namespace
+
 struct FtChecker::ImplTy {
-  NvContext &Ctx;
-  const SimResult &Meta;
   FtOptions Opts;
   uint32_t N;
   std::vector<FtScenario> Scenarios;
-  /// Roots the meta labels' diagrams for the checker's lifetime: the
-  /// assert pre-pass and key encoding intern fresh values, and if a
-  /// collection fires the label roots must survive it.
-  BddManager::RootSet MetaRoots;
-  std::vector<std::unordered_set<const void *>> FailingLeaves;
-  std::vector<std::vector<bool>> KeyBits;
+  std::vector<FailDag> Dags; ///< One per node.
+  /// Scenario I's key bit B is bit B % 64 of KeyWords[I * KeyStride + B / 64].
+  std::vector<uint64_t> KeyWords;
+  size_t KeyStride = 0;
+  unsigned KeyWidth = 0;
 
   ImplTy(NvContext &Ctx, const Program &BaseProgram,
-         ProtocolEvaluator &BaseEval, const SimResult &MetaResult,
+         ProtocolEvaluator &BaseEval, const SimResult &Meta,
          const FtOptions &Opts)
-      : Ctx(Ctx), Meta(MetaResult), Opts(Opts), N(BaseProgram.numNodes()),
-        Scenarios(enumerateScenarios(BaseProgram, Opts)), MetaRoots(Ctx.Mgr) {
+      : Opts(Opts), N(BaseProgram.numNodes()),
+        Scenarios(enumerateScenarios(BaseProgram, Opts)) {
     if (this->Opts.CheckChunkSize == 0)
       this->Opts.CheckChunkSize = 512;
-    for (uint32_t U = 0; U < N; ++U)
-      if (Meta.Labels[U]->K == Value::Kind::Map)
-        MetaRoots.add(Meta.Labels[U]->MapRoot);
 
-    // Serial pre-pass: evaluate the assert once per (node, distinct leaf)
-    // by walking each label diagram's cubes — far fewer evaluations than
-    // once per (node, scenario), since MTBDD sharing keeps the number of
-    // distinct routes per node tiny (Fig. 4). This is also what makes the
-    // sharded phase safe: the interpreter and the value arena are only
-    // touched here.
-    FailingLeaves.resize(N);
+    // Serial: the assert runs once per (node, distinct leaf) — far fewer
+    // evaluations than once per (node, scenario), since MTBDD sharing
+    // keeps the number of distinct routes per node tiny (Fig. 4). This is
+    // also what makes the sharded phase safe: the interpreter, the value
+    // arena and the manager are only touched here.
+    FailDagBuilder Builder(Ctx.Mgr, BaseEval);
+    Dags.reserve(N);
     for (uint32_t U = 0; U < N; ++U) {
       const Value *L = Meta.Labels[U];
       assert(L->K == Value::Kind::Map && "meta-labels must be dicts");
-      std::unordered_set<const void *> Seen;
-      Ctx.Mgr.forEachCube(L->MapRoot, L->KeyBits,
-                          [&](const std::vector<int8_t> &, const void *Leaf) {
-                            if (!Seen.insert(Leaf).second)
-                              return;
-                            if (!BaseEval.assertAt(
-                                    U, static_cast<const Value *>(Leaf)))
-                              FailingLeaves[U].insert(Leaf);
-                          });
+      Dags.push_back(Builder.build(U, L->MapRoot));
+    }
+    if (!Scenarios.empty())
+      encodeKeys(Ctx, BaseProgram, Meta.Labels[0]->KeyType);
+  }
+
+  /// Bit-packs every scenario's key: the concatenation of its components'
+  /// encodings (failed node first), each component encoded once.
+  void encodeKeys(NvContext &Ctx, const Program &BaseProgram,
+                  const TypePtr &RawKeyTy) {
+    TypePtr KeyTy = resolve(RawKeyTy);
+    auto ComponentTy = [&](size_t J) {
+      return KeyTy->Kind == TypeKind::Tuple ? KeyTy->Elems[J] : KeyTy;
+    };
+    std::vector<std::vector<bool>> NodeSlices;
+    if (Opts.NodeFailure) {
+      NodeSlices.resize(N);
+      for (uint32_t U = 0; U < N; ++U)
+        Ctx.encodeValue(Ctx.nodeV(U), ComponentTy(0), NodeSlices[U]);
+    }
+    std::map<std::pair<uint32_t, uint32_t>, std::vector<bool>> LinkSlices;
+    if (Opts.LinkFailures > 0) {
+      TypePtr EdgeTy = ComponentTy(Opts.NodeFailure ? 1 : 0);
+      for (const auto &[U, V] : BaseProgram.links())
+        Ctx.encodeValue(Ctx.edgeV(U, V), EdgeTy, LinkSlices[{U, V}]);
     }
 
-    // Serial: scenario keys intern values, so encode them before fanning
-    // out. Chunk checking afterwards only reads the MTBDD node array.
-    KeyBits.resize(Scenarios.size());
-    if (!Scenarios.empty()) {
-      const TypePtr &KeyTy = Meta.Labels[0]->KeyType;
-      for (size_t I = 0; I < Scenarios.size(); ++I)
-        Ctx.encodeValue(scenarioKey(Ctx, Scenarios[I], Opts), KeyTy,
-                        KeyBits[I]);
+    KeyWidth = Ctx.Layout.widthOf(KeyTy);
+    KeyStride = (KeyWidth + 63) / 64;
+    KeyWords.assign(Scenarios.size() * KeyStride, 0);
+    for (size_t I = 0; I < Scenarios.size(); ++I) {
+      uint64_t *Key = &KeyWords[I * KeyStride];
+      unsigned Pos = 0;
+      auto Append = [&](const std::vector<bool> &Slice) {
+        for (bool B : Slice) {
+          if (B)
+            Key[Pos >> 6] |= uint64_t(1) << (Pos & 63);
+          ++Pos;
+        }
+      };
+      const FtScenario &S = Scenarios[I];
+      if (Opts.NodeFailure)
+        Append(NodeSlices[S.Node.value_or(0)]);
+      for (const auto &Link : S.Links)
+        Append(LinkSlices.at(Link));
+      assert(Pos == KeyWidth && "scenario key width mismatch");
     }
   }
 };
@@ -348,14 +464,21 @@ std::string FtChecker::chunkKey(size_t C) {
   return K;
 }
 
+std::vector<bool> FtChecker::keyBits(size_t I) const {
+  std::vector<bool> Bits(Impl->KeyWidth);
+  const uint64_t *Key = &Impl->KeyWords[I * Impl->KeyStride];
+  for (unsigned B = 0; B < Impl->KeyWidth; ++B)
+    Bits[B] = (Key[B >> 6] >> (B & 63)) & 1;
+  return Bits;
+}
+
 void FtChecker::checkScenario(size_t I, std::vector<FtViolation> &Out) const {
   const FtScenario &S = Impl->Scenarios[I];
+  const uint64_t *Key = &Impl->KeyWords[I * Impl->KeyStride];
   for (uint32_t U = 0; U < Impl->N; ++U) {
     if (S.Node && *S.Node == U)
       continue; // a failed node asserts nothing
-    const Value *Route = static_cast<const Value *>(
-        Impl->Ctx.Mgr.get(Impl->Meta.Labels[U]->MapRoot, Impl->KeyBits[I]));
-    if (Impl->FailingLeaves[U].count(Route))
+    if (const Value *Route = Impl->Dags[U].lookup(Key))
       Out.push_back({S, U, Route, {}});
   }
 }

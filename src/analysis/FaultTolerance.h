@@ -157,30 +157,36 @@ struct FtCheckResult {
 /// converged dict labels of the meta-program with each scenario key. The
 /// failed node (if any) is exempt from its own assertion.
 ///
-/// The assert is evaluated once per (node, distinct leaf) by walking each
-/// label diagram's cubes up front — not once per (node, scenario) — and
-/// the scenario indexing loop is sharded over \p Pool when given (the
-/// shards only read the already-built MTBDD, so no locking is needed).
-/// Output is identical for any pool size, including the violation order.
+/// The assert is evaluated once per (node, distinct leaf) while compiling
+/// each label diagram into its failing region up front — not once per
+/// (node, scenario) — and the scenario loop is sharded over \p Pool when
+/// given (the shards only read the compiled regions, so no locking is
+/// needed). Output is identical for any pool size, including the
+/// violation order.
 FtCheckResult checkFaultTolerance(NvContext &Ctx, const Program &BaseProgram,
                                   ProtocolEvaluator &BaseEval,
                                   const SimResult &MetaResult,
                                   const FtOptions &Opts,
                                   ThreadPool *Pool = nullptr);
 
-/// The reusable assert-check engine underneath checkFaultTolerance: the
-/// serial pre-pass (assert once per distinct MTBDD leaf, scenario-key
-/// encoding, meta-label rooting) runs once at construction; checkChunk
-/// then indexes one chunk of scenarios — read-only over the diagram, so
-/// shardable over a pool — and returns the chunk's canonical UnitRecord
-/// ("c<C>", status, one "v" field per violation). In-process chunked
+/// The reusable assert-check engine underneath checkFaultTolerance. The
+/// serial part runs once at construction: one memoized walk per node label
+/// compiles its MTBDD into a failing-region DAG (the assert evaluated once
+/// per distinct leaf, only the diagram nodes that reach a failing leaf
+/// kept), and every scenario key is bit-packed from per-component
+/// encodings. The checker then holds no MTBDD Refs: a later garbage
+/// collection cannot invalidate it. checkChunk walks the DAGs for one
+/// chunk of scenarios — read-only, so shardable over a pool — and returns
+/// the chunk's canonical UnitRecord ("c<C>", status, one "v" field per
+/// violation). In-process chunked
 /// checking journals these records; fleet workers send the *same* records
 /// over the result pipe, which is what makes `--workers N` aggregates
 /// bit-identical to `--workers 0`.
 class FtChecker {
 public:
-  /// \p MetaResult must be converged with dict labels; both it and
-  /// \p Ctx/\p BaseEval must outlive the checker.
+  /// \p MetaResult must be converged with dict labels. It and \p BaseEval
+  /// are read only during construction; \p Ctx, whose arena owns the
+  /// violation routes, must outlive the checker.
   FtChecker(NvContext &Ctx, const Program &BaseProgram,
             ProtocolEvaluator &BaseEval, const SimResult &MetaResult,
             const FtOptions &Opts);
@@ -197,8 +203,12 @@ public:
   UnitRecord checkChunk(size_t C, ThreadPool *Pool = nullptr,
                         std::vector<FtViolation> *LiveOut = nullptr);
 
-  /// Indexes a single scenario (thread-safe; read-only).
+  /// Checks a single scenario (thread-safe; read-only).
   void checkScenario(size_t I, std::vector<FtViolation> &Out) const;
+
+  /// Scenario \p I's key in diagram variable order: the bits
+  /// encodeValue(scenarioKey(...)) yields.
+  std::vector<bool> keyBits(size_t I) const;
 
 private:
   struct ImplTy;

@@ -420,10 +420,12 @@ private:
   /// checks the governed node budget / heap watermark / deadline /
   /// cancellation and fault injection. Sits before any recursion or table
   /// mutation, so a throw leaves the manager fully consistent. Ungoverned
-  /// runs pay one flag test.
+  /// runs pay one flag test; the heap figure is computed only when some
+  /// governor has a heap watermark to check it against.
   void pollSafePoint(GovSite Site) const {
     if (Governor::active())
-      Governor::pollSafePoint(Site, Nodes.size(), memoryBytes());
+      Governor::pollSafePoint(Site, Nodes.size(),
+                              Governor::watchesHeap() ? memoryBytes() : 0);
   }
 
   template <typename UnaryFn> Ref map1Rec(Ref A, UnaryFn &Fn, uint64_t Tag) {

@@ -250,6 +250,7 @@ Governor::Governor(const RunBudget &Budget) : B(Budget) {
   }
   Prev = Head;
   Head = this;
+  ChainWatchesHeap = B.MaxHeapBytes > 0 || (Prev && Prev->ChainWatchesHeap);
 }
 
 Governor::Scope::Scope(const RunBudget &Budget) {

@@ -305,6 +305,10 @@ public:
   /// computing poll arguments.
   static bool active() { return Head != nullptr || FaultInject::armed(); }
 
+  /// True when some governor in this thread's chain has a heap watermark:
+  /// only then do MTBDD safe points need to compute their heap figure.
+  static bool watchesHeap() { return Head && Head->ChainWatchesHeap; }
+
   /// The safe-point check: fault injection first, then every governor in
   /// the chain. \p LiveNodes / \p HeapBytes carry the MTBDD manager's
   /// occupancy at MTBDD sites (0 elsewhere). Throws EngineError when a
@@ -336,6 +340,8 @@ private:
   Governor *Prev = nullptr;
   std::chrono::steady_clock::time_point Deadline{};
   bool HasDeadline = false;
+  /// This governor or one further out has B.MaxHeapBytes set.
+  bool ChainWatchesHeap = false;
   uint64_t Steps = 0;
   /// Amortizes clock reads on the hot sites (apply-cache-miss, alloc);
   /// cold sites check the deadline on every poll.

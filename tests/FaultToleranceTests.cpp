@@ -16,6 +16,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
 using namespace nv;
 
 namespace {
@@ -28,10 +31,13 @@ Program parseAndCheck(const std::string &Src) {
   return *P;
 }
 
-/// Shortest-path routing with an all-nodes-reachable assertion, on a
-/// configurable topology.
+/// Shortest-path routing on a configurable topology, with an
+/// all-nodes-reachable assertion unless \p Assert overrides its body
+/// (an expression over `x : option[int]`).
 std::string spProgram(uint32_t Nodes,
-                      const std::vector<std::pair<int, int>> &Links) {
+                      const std::vector<std::pair<int, int>> &Links,
+                      const std::string &Assert =
+                          "match x with | None -> false | Some d -> true") {
   std::string Edges;
   for (size_t I = 0; I < Links.size(); ++I) {
     if (I)
@@ -52,8 +58,8 @@ std::string spProgram(uint32_t Nodes,
          "  | _, None -> x\n"
          "  | None, _ -> y\n"
          "  | Some a, Some b -> if a <= b then x else y\n"
-         "let assert (u : node) (x : option[int]) =\n"
-         "  match x with | None -> false | Some d -> true\n";
+         "let assert (u : node) (x : option[int]) =\n  " +
+         Assert + "\n";
 }
 
 /// Diamond: 0-1, 0-2, 1-3, 2-3 — survives any single link failure.
@@ -61,6 +67,9 @@ const std::vector<std::pair<int, int>> Diamond = {{0, 1}, {0, 2}, {1, 3},
                                                   {2, 3}};
 /// Line: 0-1-2-3 — any link failure cuts reachability.
 const std::vector<std::pair<int, int>> Line = {{0, 1}, {1, 2}, {2, 3}};
+/// Ring 0-1-2-3-4-5-0 with chords 0-3 and 1-4.
+const std::vector<std::pair<int, int>> ChordedRing = {
+    {0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}, {0, 3}, {1, 4}};
 
 /// Oracle check: the meta-program's per-scenario routes equal the naive
 /// per-scenario simulation's routes, for every node and scenario.
@@ -136,6 +145,151 @@ let assert (u : node) (x : attribute) =
   | Some b -> b.origin = 0n
 )nv";
   expectMatchesNaive(Src, FtOptions{});
+}
+
+/// Differential check of FtChecker against the direct per-scenario
+/// lookup: for every scenario and node, Mgr.get on the encoded scenario
+/// key, then the assert. Violations must match in order and by Route
+/// pointer, and the checker's packed keys must equal encodeValue's bits.
+/// Returns the most distinct failing routes any one node showed.
+size_t expectCheckerMatchesLookup(const std::string &Src,
+                                  const FtOptions &Opts) {
+  Program P = parseAndCheck(Src);
+  DiagnosticEngine Diags;
+  auto Meta = makeFaultTolerantProgram(P, Opts, Diags);
+  EXPECT_TRUE(Meta.has_value()) << Diags.str();
+  if (!Meta)
+    return 0;
+  NvContext Ctx(P.numNodes());
+  InterpProgramEvaluator MetaEval(Ctx, *Meta);
+  SimResult MetaR = simulate(*Meta, MetaEval);
+  EXPECT_TRUE(MetaR.Converged);
+  if (!MetaR.Converged)
+    return 0;
+  InterpProgramEvaluator BaseEval(Ctx, P);
+
+  FtOptions ChunkOpts = Opts;
+  ChunkOpts.CheckChunkSize = 7; // several chunks, one of them partial
+  FtChecker Checker(Ctx, P, BaseEval, MetaR, ChunkOpts);
+  std::vector<FtViolation> Got;
+  for (size_t C = 0; C < Checker.numChunks(); ++C)
+    Checker.checkChunk(C, nullptr, &Got);
+
+  const std::vector<FtScenario> &Scenarios = Checker.scenarios();
+  EXPECT_EQ(Scenarios.size(), enumerateScenarios(P, Opts).size());
+  std::vector<FtViolation> Want;
+  std::vector<std::set<const Value *>> FailingRoutes(P.numNodes());
+  for (size_t I = 0; I < Scenarios.size(); ++I) {
+    const FtScenario &S = Scenarios[I];
+    std::vector<bool> Bits;
+    Ctx.encodeValue(scenarioKey(Ctx, S, Opts), MetaR.Labels[0]->KeyType,
+                    Bits);
+    EXPECT_EQ(Checker.keyBits(I), Bits) << S.str();
+    for (uint32_t U = 0; U < P.numNodes(); ++U) {
+      if (S.Node && *S.Node == U)
+        continue;
+      const auto *Route = static_cast<const Value *>(
+          Ctx.Mgr.get(MetaR.Labels[U]->MapRoot, Bits));
+      if (!BaseEval.assertAt(U, Route)) {
+        Want.push_back({S, U, Route, {}});
+        FailingRoutes[U].insert(Route);
+      }
+    }
+  }
+
+  EXPECT_EQ(Got.size(), Want.size());
+  for (size_t I = 0; I < std::min(Got.size(), Want.size()); ++I) {
+    EXPECT_EQ(Got[I].Scenario.str(), Want[I].Scenario.str()) << I;
+    EXPECT_EQ(Got[I].Node, Want[I].Node) << I;
+    EXPECT_EQ(Got[I].Route, Want[I].Route) << I;
+  }
+  size_t MaxDistinct = 0;
+  for (const auto &Routes : FailingRoutes)
+    MaxDistinct = std::max(MaxDistinct, Routes.size());
+  return MaxDistinct;
+}
+
+TEST(FaultTolerance, CheckerMatchesLookupOnLinkFailures) {
+  for (unsigned K = 1; K <= 3; ++K) {
+    SCOPED_TRACE("links " + std::to_string(K));
+    FtOptions Opts;
+    Opts.LinkFailures = K;
+    expectCheckerMatchesLookup(spProgram(4, Diamond), Opts);
+    expectCheckerMatchesLookup(spProgram(4, Line), Opts);
+    expectCheckerMatchesLookup(spProgram(6, ChordedRing), Opts);
+  }
+}
+
+TEST(FaultTolerance, CheckerMatchesLookupOnNodeAndLink) {
+  for (unsigned K = 0; K <= 1; ++K) {
+    SCOPED_TRACE("node + links " + std::to_string(K));
+    FtOptions Opts;
+    Opts.NodeFailure = true;
+    Opts.LinkFailures = K;
+    expectCheckerMatchesLookup(spProgram(4, Diamond), Opts);
+    expectCheckerMatchesLookup(spProgram(4, Line), Opts);
+    expectCheckerMatchesLookup(spProgram(6, ChordedRing), Opts);
+  }
+}
+
+TEST(FaultTolerance, CheckerMatchesLookupWithSeveralFailingRoutes) {
+  // "At most one hop" fails both on a longer path and, once two failures
+  // can cut a node off, on no route at all: some node then fails with at
+  // least two distinct routes.
+  std::string Src = spProgram(
+      6, ChordedRing, "match x with | None -> false | Some d -> d <= 1");
+  for (unsigned K = 1; K <= 3; ++K) {
+    SCOPED_TRACE("links " + std::to_string(K));
+    FtOptions Opts;
+    Opts.LinkFailures = K;
+    size_t Distinct = expectCheckerMatchesLookup(Src, Opts);
+    if (K >= 2) {
+      EXPECT_GE(Distinct, 2u);
+    }
+  }
+  FtOptions Opts;
+  Opts.NodeFailure = true;
+  Opts.LinkFailures = 1;
+  EXPECT_GE(expectCheckerMatchesLookup(Src, Opts), 2u);
+}
+
+TEST(FaultTolerance, CheckerSurvivesCompactingCollection) {
+  // The checker holds no MTBDD Refs: a collection that compacts the node
+  // store after construction must not change a single record.
+  Program P = parseAndCheck(spProgram(6, ChordedRing));
+  FtOptions Opts;
+  Opts.LinkFailures = 2;
+  Opts.CheckChunkSize = 5;
+  DiagnosticEngine Diags;
+  auto Meta = makeFaultTolerantProgram(P, Opts, Diags);
+  ASSERT_TRUE(Meta.has_value()) << Diags.str();
+  NvContext Ctx(P.numNodes());
+  InterpProgramEvaluator MetaEval(Ctx, *Meta);
+  SimResult MetaR = simulate(*Meta, MetaEval);
+  ASSERT_TRUE(MetaR.Converged);
+  InterpProgramEvaluator BaseEval(Ctx, P);
+
+  FtChecker Reference(Ctx, P, BaseEval, MetaR, Opts);
+  std::vector<std::string> Want;
+  for (size_t C = 0; C < Reference.numChunks(); ++C)
+    Want.push_back(Reference.checkChunk(C).render());
+
+  FtChecker Checker(Ctx, P, BaseEval, MetaR, Opts);
+  // Keep the labels alive so the collection moves them rather than
+  // freeing them: stale Refs would then read other nodes.
+  BddManager::RootSet Labels(Ctx.Mgr);
+  for (const Value *L : MetaR.Labels)
+    Labels.add(L->MapRoot);
+  std::vector<BddManager::Ref> Before = Labels.refs();
+  ASSERT_GT(Ctx.Mgr.collectGarbage(), 0u);
+  EXPECT_NE(Labels.refs(), Before) << "the collection moved no label";
+
+  ASSERT_EQ(Checker.numChunks(), Want.size());
+  for (size_t C = 0; C < Checker.numChunks(); ++C)
+    EXPECT_EQ(Checker.checkChunk(C).render(), Want[C]) << "chunk " << C;
+  EXPECT_TRUE(std::any_of(Want.begin(), Want.end(), [](const std::string &R) {
+    return R.find("\nv=") != std::string::npos;
+  })) << "no chunk recorded a violation";
 }
 
 TEST(FaultTolerance, DiamondSurvivesSingleFailure) {

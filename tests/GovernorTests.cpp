@@ -315,6 +315,31 @@ TEST(Governor, HeapWatermarkTripsMetaSimulation) {
   EXPECT_EQ(R.Outcome.Status, RunStatus::HeapBudgetExceeded);
 }
 
+TEST(Governor, OuterHeapWatermarkTripsUnderStepOnlyScope) {
+  // The MTBDD safe points compute their heap figure only when some
+  // governor in the chain watches the heap; an inner step-only scope (as
+  // runFaultTolerance arms by default) must not hide an outer watermark.
+  EXPECT_FALSE(Governor::watchesHeap());
+  Program P = parseAndCheck(spProgram(4, Line));
+  RunBudget Outer;
+  Outer.MaxHeapBytes = 1024; // below the manager's initial tables
+  Governor::Scope Scope(Outer);
+  EXPECT_TRUE(Governor::watchesHeap());
+  DiagnosticEngine Diags;
+  FtRunResult R = runFaultTolerance(P, FtOptions{}, /*Compiled=*/false, Diags);
+  EXPECT_FALSE(R.Converged);
+  EXPECT_EQ(R.Outcome.Status, RunStatus::HeapBudgetExceeded);
+  EXPECT_STREQ(R.Outcome.Site, govSiteName(GovSite::ApplyCacheMiss));
+}
+
+TEST(Governor, StepOnlyScopeDoesNotWatchHeap) {
+  RunBudget Steps;
+  Steps.MaxSteps = 10;
+  Governor::Scope Scope(Steps);
+  EXPECT_TRUE(Governor::active());
+  EXPECT_FALSE(Governor::watchesHeap());
+}
+
 TEST(Governor, StepBudgetReportsThroughFtRun) {
   Program P = parseAndCheck(spProgram(4, Line));
   DiagnosticEngine Diags;

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# asan.sh — ASan+UBSan build of the BDD, GC and parallel suites, to catch
-# the memory errors a moving collector can introduce (stale Refs, table
-# over-reads) that functional tests may survive by luck.
+# asan.sh — ASan+UBSan build of the BDD, GC, parallel and fault-tolerance
+# suites, to catch the memory errors a moving collector can introduce (stale
+# Refs, table over-reads) and the signed-sentinel indexing of the
+# fault-tolerance checker's failing-region DAGs, which functional tests may
+# survive by luck.
 #
 # Usage: tools/ci/asan.sh [BUILD_DIR]
 set -euo pipefail
@@ -16,9 +18,11 @@ cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-omit-frame-pointer" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
 cmake --build "$BUILD_DIR" -j"$JOBS" \
-  --target bdd_tests gc_tests parallel_tests governor_tests serve_tests
+  --target bdd_tests gc_tests parallel_tests governor_tests serve_tests \
+  fault_tolerance_tests
 "./$BUILD_DIR/tests/bdd_tests"
 "./$BUILD_DIR/tests/gc_tests"
 "./$BUILD_DIR/tests/parallel_tests"
 "./$BUILD_DIR/tests/governor_tests"
 "./$BUILD_DIR/tests/serve_tests"
+"./$BUILD_DIR/tests/fault_tolerance_tests"
