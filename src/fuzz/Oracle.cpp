@@ -217,8 +217,7 @@ OracleVerdict nv::runOracle(const FuzzInstance &Inst,
         FO.Budget.Cancel = Opts.Cancel;
         NvContext Ctx(P->numNodes());
         Ctx.Mgr.setGcWatermark(L.Watermark);
-        FtRunResult R = runFaultTolerance(*P, FO, L.Compiled, Diags,
-                                          /*CheckAsserts=*/true, &Ctx);
+        FtRunResult R = runFaultTolerance(*P, FO, L.Compiled, Diags, &Ctx);
         FP = ftFingerprint(R.Check, R.Outcome);
       } catch (const EngineError &E) {
         FP = outcomeFingerprint(E.outcome()); // e.g. injected context-setup fault

@@ -29,6 +29,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <thread>
 
 #include <poll.h>
@@ -259,21 +260,23 @@ TEST(ServeCore, LruEvictionKeepsRecentlyUsed) {
 //===----------------------------------------------------------------------===//
 
 TEST(ServeCore, WarmFtRepeatIsBitIdenticalToColdAndDirect) {
-  // The reference: a direct (cold) runFaultTolerance on the same program,
-  // fingerprinted with the same blob idiom the service uses.
+  // Each analysis variant is checked against a direct (cold)
+  // runFaultTolerance on the same program, fingerprinted with the shared
+  // violationsHash the service reports.
+  struct Variant {
+    const char *Fields; ///< The ft request's variant fields.
+    unsigned Links;
+    bool Node, Native;
+  };
+  const Variant Variants[] = {{"", 1, false, false},
+                              {",\"links\":2", 2, false, false},
+                              {",\"node\":true", 1, true, false},
+                              {",\"native\":true", 1, false, true}};
+
   DiagnosticEngine Diags;
   auto P = parseProgram(spProgram(), Diags);
   ASSERT_TRUE(P.has_value()) << Diags.str();
   ASSERT_TRUE(typeCheck(*P, Diags)) << Diags.str();
-  FtOptions Opts;
-  FtRunResult Direct = runFaultTolerance(*P, Opts, /*Compiled=*/false, Diags);
-  ASSERT_TRUE(Direct.Outcome.ok()) << Direct.Outcome.str();
-  std::string Blob;
-  for (const FtViolation &V : Direct.Check.Violations)
-    Blob += V.Scenario.str() + "@" + std::to_string(V.Node) + "=" +
-            V.routeStr() + "\n";
-  std::string DirectHash = fnv1a64Hex(Blob);
-  ASSERT_FALSE(Direct.Check.Violations.empty()); // line net: real violations
 
   ServeConfig Cfg;
   Cfg.Threads = 1;
@@ -283,48 +286,61 @@ TEST(ServeCore, WarmFtRepeatIsBitIdenticalToColdAndDirect) {
   ASSERT_EQ(Core.executeLine(loadLine("n", spProgram())).getNumber("code", -1),
             0);
 
-  Json Cold = Core.executeLine("{\"verb\":\"ft\",\"session\":\"n\"}");
-  ASSERT_EQ(Cold.getNumber("code", -1), 1) << Cold.dump(); // violations
-  EXPECT_FALSE(Cold.getBool("warm"));
-  EXPECT_EQ(Cold.getString("violations_hash"), DirectHash);
+  for (const Variant &V : Variants) {
+    SCOPED_TRACE(std::string("variant {") + V.Fields + "}");
+    FtOptions Opts;
+    Opts.LinkFailures = V.Links;
+    Opts.NodeFailure = V.Node;
+    FtRunResult Direct = runFaultTolerance(*P, Opts, V.Native, Diags);
+    ASSERT_TRUE(Direct.Outcome.ok()) << Direct.Outcome.str();
+    ASSERT_FALSE(Direct.Check.Violations.empty()); // line net: real violations
+    std::string DirectHash = violationsHash(Direct.Check.Violations);
+    std::string Line =
+        std::string("{\"verb\":\"ft\",\"session\":\"n\"") + V.Fields;
 
-  // "fresh" bypasses the result memo: the engines actually re-run, on the
-  // cached transform/evaluators, and must reproduce the cold bits.
-  for (int I = 0; I < 3; ++I) {
-    Json Warm = Core.executeLine(
-        "{\"verb\":\"ft\",\"session\":\"n\",\"fresh\":true}");
-    ASSERT_EQ(Warm.getNumber("code", -1), 1) << Warm.dump();
-    EXPECT_TRUE(Warm.getBool("warm"));
-    EXPECT_FALSE(Warm.getBool("cached"));
-    EXPECT_EQ(Warm.getNumber("transform_ms", -1), 0); // transform skipped
-    EXPECT_EQ(Warm.getString("violations_hash"), DirectHash);
-    EXPECT_EQ(Warm.getNumber("scenarios", -1), Cold.getNumber("scenarios", -2));
-    EXPECT_EQ(Warm.getNumber("violations", -1),
-              Cold.getNumber("violations", -2));
+    // A new variant key is its own cold entry (both cache layers).
+    Json Cold = Core.executeLine(Line + "}");
+    ASSERT_EQ(Cold.getNumber("code", -1), 1) << Cold.dump(); // violations
+    EXPECT_FALSE(Cold.getBool("warm"));
+    EXPECT_FALSE(Cold.getBool("cached"));
+    EXPECT_EQ(Cold.getString("violations_hash"), DirectHash);
+    EXPECT_EQ(Cold.getNumber("scenarios", -1),
+              static_cast<double>(Direct.Check.ScenariosChecked));
+
+    // "fresh" bypasses the result memo: the engines actually re-run, on the
+    // cached transform/evaluators, and must reproduce the cold bits.
+    for (int I = 0; I < 3; ++I) {
+      Json Warm = Core.executeLine(Line + ",\"fresh\":true}");
+      ASSERT_EQ(Warm.getNumber("code", -1), 1) << Warm.dump();
+      EXPECT_TRUE(Warm.getBool("warm"));
+      EXPECT_FALSE(Warm.getBool("cached"));
+      EXPECT_EQ(Warm.getNumber("transform_ms", -1), 0); // transform skipped
+      EXPECT_EQ(Warm.getString("violations_hash"), DirectHash);
+      EXPECT_EQ(Warm.getNumber("scenarios", -1),
+                Cold.getNumber("scenarios", -2));
+      EXPECT_EQ(Warm.getNumber("violations", -1),
+                Cold.getNumber("violations", -2));
+    }
+
+    // A plain repeat is a result-memo hit: same verdict bits, no engine run.
+    Json Memo = Core.executeLine(Line + "}");
+    ASSERT_EQ(Memo.getNumber("code", -1), 1) << Memo.dump();
+    EXPECT_TRUE(Memo.getBool("cached"));
+    EXPECT_EQ(Memo.getString("violations_hash"), DirectHash);
   }
 
-  // A plain repeat is a result-memo hit: same verdict bits, no engine run.
-  Json Memo = Core.executeLine("{\"verb\":\"ft\",\"session\":\"n\"}");
-  ASSERT_EQ(Memo.getNumber("code", -1), 1) << Memo.dump();
-  EXPECT_TRUE(Memo.getBool("cached"));
-  EXPECT_EQ(Memo.getString("violations_hash"), DirectHash);
-
-  // A different variant key is its own cold entry (both cache layers).
-  Json Node = Core.executeLine(
-      "{\"verb\":\"ft\",\"session\":\"n\",\"node\":true}");
-  EXPECT_FALSE(Node.getBool("warm"));
-  EXPECT_FALSE(Node.getBool("cached"));
   Json Stats = Core.statsJson();
+  const double N = std::size(Variants);
   const Json *FtCache = Stats.get("ft_cache");
   ASSERT_NE(FtCache, nullptr);
-  EXPECT_EQ(FtCache->getNumber("hits", -1), 3);
-  EXPECT_EQ(FtCache->getNumber("misses", -1), 2);
+  EXPECT_EQ(FtCache->getNumber("hits", -1), 3 * N);
+  EXPECT_EQ(FtCache->getNumber("misses", -1), N);
   const Json *ResCache = Stats.get("result_cache");
   ASSERT_NE(ResCache, nullptr);
-  EXPECT_EQ(ResCache->getNumber("hits", -1), 1);
-  // The cold ft and the node variant looked up and missed; fresh repeats
-  // never consult the memo.
-  EXPECT_EQ(ResCache->getNumber("misses", -1), 2);
+  EXPECT_EQ(ResCache->getNumber("hits", -1), N);
+  // Each cold request looked up and missed; fresh repeats never consult
+  // the memo.
+  EXPECT_EQ(ResCache->getNumber("misses", -1), N);
 }
 
 //===----------------------------------------------------------------------===//

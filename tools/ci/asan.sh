@@ -3,7 +3,8 @@
 # suites, to catch the memory errors a moving collector can introduce (stale
 # Refs, table over-reads) and the signed-sentinel indexing of the
 # fault-tolerance checker's failing-region DAGs, which functional tests may
-# survive by luck.
+# survive by luck. UBSan findings abort the test binary
+# (-fno-sanitize-recover), so they fail this stage.
 #
 # Usage: tools/ci/asan.sh [BUILD_DIR]
 set -euo pipefail
@@ -15,8 +16,8 @@ JOBS=${JOBS:-$(nproc)}
 cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DNV_WERROR="${NV_WERROR:-OFF}" \
-  -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-omit-frame-pointer" \
-  -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
+  -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined -fno-omit-frame-pointer" \
+  -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined"
 cmake --build "$BUILD_DIR" -j"$JOBS" \
   --target bdd_tests gc_tests parallel_tests governor_tests serve_tests \
   fault_tolerance_tests

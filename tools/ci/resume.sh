@@ -6,8 +6,9 @@
 # the resumed aggregate must be identical modulo the *_ms timing fields.
 # Also proves the journal failure modes (torn tail tolerated, interior
 # corruption and binding mismatch hard exit 2), retry semantics under
-# NV_FAULT_INJECT, and that replaying tests/corpus twice under --resume
-# shows no fingerprint drift.
+# NV_FAULT_INJECT, that --json output stays valid JSON for a network
+# path with a tab in it, and that replaying tests/corpus twice under
+# --resume shows no fingerprint drift.
 #
 # Usage: tools/ci/resume.sh [BUILD_DIR]
 set -euo pipefail
@@ -134,6 +135,17 @@ echo "ok: transient fault retried, verdict preserved"
 # to the structured resource-exhausted exit, never an abort.
 expect_code 3 "exhausted retries degrade structurally" \
   "$NV" naive "$NET" --links 2 --retry 2 --max-steps 1
+
+echo "== --json stays valid JSON for a tab in the network name =="
+TABNET="$WORK/tab"$'\t'"net.nv"
+cp "$NET" "$TABNET"
+for CMD in ft naive; do
+  "$NV" "$CMD" "$TABNET" --json "$WORK/tab.json" > /dev/null || [ $? -le 1 ] \
+    || fail "$CMD on the tab-named network died"
+  python3 -m json.tool "$WORK/tab.json" > /dev/null \
+    || fail "$CMD --json on a tab-named network is not valid JSON"
+done
+echo "ok: ft and naive --json escape control characters"
 
 echo "== corpus replay under --resume: no fingerprint drift =="
 JC="$WORK/corpus.journal"
