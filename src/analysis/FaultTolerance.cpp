@@ -491,92 +491,118 @@ FtChecker::checkSlots(size_t C, ThreadPool *Pool) const {
   return Slots;
 }
 
-UnitRecord FtChecker::checkChunk(size_t C, ThreadPool *Pool,
-                                 std::vector<FtViolation> *LiveOut) {
-  size_t Begin = Impl->Chunks.begin(C);
+namespace {
+
+/// A chunk's violations, one list per scenario of the chunk.
+using ChunkSlots = std::vector<std::vector<FtViolation>>;
+
+/// A chunk's canonical record: "status=ok" (or the outcome of a chunk the
+/// fleet quarantined) and one "v" field per violation in scenario order.
+UnitRecord makeChunkRecord(const FtChunks &Chunks, size_t C,
+                           const RunOutcome &O, unsigned Attempts,
+                           const ChunkSlots &Slots) {
   UnitRecord Rec;
   Rec.Key = FtChunks::key(C);
-  Rec.add("status", "ok");
-  std::vector<std::vector<FtViolation>> Slots = checkSlots(C, Pool);
+  if (O.ok())
+    Rec.add("status", "ok");
+  else
+    addOutcome(Rec, O, Attempts);
   for (size_t I = 0; I < Slots.size(); ++I)
-    for (FtViolation &V : Slots[I]) {
-      addViolationField(Rec, Begin + I, V);
-      if (LiveOut)
-        LiveOut->push_back(std::move(V));
-    }
+    for (const FtViolation &V : Slots[I])
+      addViolationField(Rec, Chunks.begin(C) + I, V);
   return Rec;
 }
 
-namespace {
-
-/// Folds one chunk record into \p Out (see aggregateFtChunkRecords); false,
-/// leaving \p Out untouched, when the record is malformed.
-bool foldChunkRecord(const UnitRecord &Rec, size_t NumScenarios,
-                     const std::vector<FtScenario> &Scenarios,
-                     FtCheckResult &Out) {
-  RunOutcome O;
+/// Restores chunk \p C from a journaled or fleet record; false, on a
+/// malformed record.
+bool decodeChunkRecord(const UnitRecord &Rec,
+                       const std::vector<FtScenario> &Scenarios,
+                       const FtChunks &Chunks, size_t C, RunOutcome &O,
+                       ChunkSlots &Slots) {
   unsigned Attempts = 1;
-  if (!parseOutcome(Rec, O, Attempts))
-    return false;
   std::vector<std::pair<size_t, FtViolation>> Vs;
-  if (O.ok() && !parseViolationFields(Rec, Scenarios, Vs))
+  if (!parseOutcome(Rec, O, Attempts) ||
+      (O.ok() && !parseViolationFields(Rec, Scenarios, Vs)))
     return false;
-  Out.ScenariosChecked += NumScenarios;
-  if (!O.ok()) {
-    // A quarantined (or otherwise skipped) chunk contributes no
-    // violations — exactly like a skipped scenario in the naive paths.
-    Out.ScenariosSkipped += NumScenarios;
-    if (Out.Outcome.ok())
-      Out.Outcome = O;
+  ChunkSlots Out(Chunks.size(C));
+  for (auto &[I, V] : Vs) {
+    if (I < Chunks.begin(C) || I >= Chunks.end(C))
+      return false;
+    Out[I - Chunks.begin(C)].push_back(std::move(V));
   }
-  for (auto &IV : Vs)
-    Out.Violations.push_back(std::move(IV.second));
+  Slots = std::move(Out);
   return true;
+}
+
+/// The assert check as a sweep: unit C is chunk C, keyed "c<C>", its slot
+/// the chunk's violations, folded in chunk order. The in-process check
+/// (\p Check fills a chunk's slot) and the fleet coordinator differ only
+/// in who fills the slots. A non-ok chunk (quarantined, or canceled before
+/// it started) counts its scenarios as skipped and adds no violations.
+FtCheckResult sweepChunks(const std::vector<FtScenario> &Scenarios,
+                          const FtChunks &Chunks, const FtOptions &Opts,
+                          const std::function<ChunkSlots(size_t)> &Check,
+                          const FleetOptions *Fleet = nullptr,
+                          FleetResult *FleetOut = nullptr) {
+  std::vector<ChunkSlots> Slots(Chunks.count());
+  FtCheckResult R;
+  SweepUnits U;
+  U.Count = Chunks.count();
+  U.Key = FtChunks::key;
+  U.Worker = [&](unsigned) -> SweepRunner {
+    return [&](size_t C, const RunBudget &) {
+      Slots[C] = Check(C);
+      return RunOutcome();
+    };
+  };
+  U.Encode = [&](size_t C, const RunOutcome &O, unsigned Attempts) {
+    return makeChunkRecord(Chunks, C, O, Attempts, Slots[C]);
+  };
+  U.Decode = [&](size_t C, const UnitRecord &Rec, RunOutcome &O) {
+    return decodeChunkRecord(Rec, Scenarios, Chunks, C, O, Slots[C]);
+  };
+  U.Fold = [&](size_t C, const RunOutcome &O, bool Replayed) {
+    size_t Size = Chunks.size(C);
+    R.ScenariosChecked += Size;
+    if (Replayed)
+      R.ScenariosReplayed += Size;
+    if (!O.ok())
+      R.ScenariosSkipped += Size;
+    for (auto &Slot : Slots[C])
+      for (FtViolation &V : Slot)
+        R.Violations.push_back(std::move(V));
+    ChunkSlots().swap(Slots[C]);
+  };
+  // The chunks run inside the analysis' own governor scope, so only the
+  // cancel token matters here.
+  SweepResult S = runSweep(U, {.Budget = {.Cancel = Opts.Budget.Cancel},
+                               .Retry = {},
+                               .Resume = Opts.Resume,
+                               .Fleet = Fleet});
+  R.Outcome = S.Outcome;
+  if (FleetOut)
+    *FleetOut = std::move(S.Fleet);
+  return R;
 }
 
 } // namespace
 
-FtCheckResult FtChecker::check(ThreadPool *Pool) {
-  const FtChunks &Chunks = Impl->Chunks;
-  ResumeLog *Resume = Impl->Opts.Resume;
-  CancelToken *Cancel = Impl->Opts.Budget.Cancel;
-  FtCheckResult R;
-  for (size_t C = 0; C < Chunks.count(); ++C) {
-    size_t Size = Chunks.size(C);
-    UnitRecord Rec;
-    if (Resume && Resume->replay(FtChunks::key(C), Rec) &&
-        foldChunkRecord(Rec, Size, Impl->Scenarios, R)) {
-      R.ScenariosReplayed += Size;
-      continue;
-    }
-    if (Cancel && Cancel->isCanceled()) {
-      R.Outcome = {RunStatus::Canceled, "fault-tolerance check canceled", ""};
-      break;
-    }
-    if (Resume) {
-      Resume->recordDone(checkChunk(C, Pool, &R.Violations));
-    } else {
-      for (auto &Slot : checkSlots(C, Pool))
-        for (FtViolation &V : Slot)
-          R.Violations.push_back(std::move(V));
-    }
-    R.ScenariosChecked += Size;
-  }
-  return R;
+UnitRecord FtChecker::checkChunk(size_t C, ThreadPool *Pool) {
+  return makeChunkRecord(Impl->Chunks, C, {}, 1, checkSlots(C, Pool));
 }
 
-bool nv::aggregateFtChunkRecords(
-    const std::vector<FtScenario> &Scenarios, unsigned ChunkSize,
-    const std::function<bool(const std::string &, UnitRecord &)> &Lookup,
-    FtCheckResult &Out) {
-  FtChunks Chunks(Scenarios.size(), ChunkSize);
-  for (size_t C = 0; C < Chunks.count(); ++C) {
-    UnitRecord Rec;
-    if (!Lookup(FtChunks::key(C), Rec) ||
-        !foldChunkRecord(Rec, Chunks.size(C), Scenarios, Out))
-      return false;
-  }
-  return true;
+FtCheckResult FtChecker::check(ThreadPool *Pool) {
+  return sweepChunks(Impl->Scenarios, Impl->Chunks, Impl->Opts,
+                     [&](size_t C) { return checkSlots(C, Pool); });
+}
+
+FtCheckResult nv::checkFaultToleranceOnFleet(const Program &BaseProgram,
+                                             const FtOptions &Opts,
+                                             const FleetOptions &Fleet,
+                                             FleetResult &FleetOut) {
+  std::vector<FtScenario> Scenarios = enumerateScenarios(BaseProgram, Opts);
+  FtChunks Chunks(Scenarios.size(), Opts.CheckChunkSize);
+  return sweepChunks(Scenarios, Chunks, Opts, nullptr, &Fleet, &FleetOut);
 }
 
 FtCheckResult nv::checkFaultTolerance(NvContext &Ctx,

@@ -33,7 +33,7 @@
 #include "eval/ProgramEvaluator.h"
 #include "sim/Simulator.h"
 #include "support/Diagnostics.h"
-#include "support/Resume.h"
+#include "support/Sweep.h"
 #include "support/ThreadPool.h"
 
 #include <algorithm>
@@ -62,19 +62,14 @@ struct FtOptions {
   /// deadline, MTBDD node budget, heap watermark, or shared CancelToken
   /// compose the same way.
   RunBudget Budget{/*DeadlineMs=*/0, /*MaxSteps=*/100'000'000};
-  /// Per-scenario retry for transient trips (deadline, step/node budget,
-  /// injected fault): each retry re-runs the scenario with the budget's
-  /// finite limits escalated. Default MaxAttempts=1 keeps single-shot
-  /// semantics.
+  /// Per-scenario retry for transient trips (naive baseline).
   RetryPolicy Retry;
   /// Scenarios per assert-check chunk (0 = 512): chunks are the journal
   /// and fleet unit ("c<C>" keys), so this binds in the journal.
   unsigned CheckChunkSize = 512;
-  /// Optional checkpoint/resume journal. When set, scenarios (or assert
-  /// check chunks) completed in a previous run are replayed instead of
-  /// re-run, and each newly completed one is durably recorded. Canceled scenarios are never recorded, so they
-  /// re-run on resume. The caller owns binding validation (ResumeLog::
-  /// open rejects mismatched journals).
+  /// Optional checkpoint/resume journal of the unit sweep (support/
+  /// Sweep.h): scenarios, or check chunks, replay instead of re-running.
+  /// The caller owns binding validation.
   ResumeLog *Resume = nullptr;
 };
 
@@ -207,17 +202,13 @@ public:
 
   const FtChunks &chunks() const;
 
-  /// The whole check, chunk by chunk. With Opts.Resume set, journaled
-  /// chunks are replayed and fresh ones recorded; without it no record is
-  /// rendered. Cancellation (Opts.Budget.Cancel) drains between chunks.
-  /// Output, violation order included, is identical for any pool size.
+  /// The whole check: a serial sweep over the chunks (journaled through
+  /// Opts.Resume; without it no record is rendered), each checked over
+  /// \p Pool. The output is identical for any pool size.
   FtCheckResult check(ThreadPool *Pool = nullptr);
 
-  /// Checks chunk \p C and returns its record. Live violations (Route
-  /// interned in Ctx) are additionally appended to \p LiveOut when given,
-  /// in scenario order.
-  UnitRecord checkChunk(size_t C, ThreadPool *Pool = nullptr,
-                        std::vector<FtViolation> *LiveOut = nullptr);
+  /// Checks chunk \p C and returns its record.
+  UnitRecord checkChunk(size_t C, ThreadPool *Pool = nullptr);
 
   /// Scenario \p I's key in diagram variable order: the bits
   /// encodeValue(scenarioKey(...)) yields.
@@ -232,16 +223,14 @@ private:
   std::unique_ptr<ImplTy> Impl;
 };
 
-/// Folds one record per chunk — from a fleet run, a resume journal, or a
-/// mix — into \p Out with the replay path's semantics: violations in
-/// scenario order (Route null, RouteText filled), a non-ok chunk (e.g. a
-/// quarantined poison chunk) contributing its scenario count to
-/// ScenariosSkipped and the first non-ok outcome in chunk order kept.
-/// Returns false when some chunk's record is missing or malformed.
-bool aggregateFtChunkRecords(
-    const std::vector<FtScenario> &Scenarios, unsigned ChunkSize,
-    const std::function<bool(const std::string &, UnitRecord &)> &Lookup,
-    FtCheckResult &Out);
+/// The assert check with its chunks run on the worker fleet \p Fleet, whose
+/// workers answer with FtChecker::checkChunk. The records fold like
+/// replayed ones, so the result equals the in-process check. \p FleetOut
+/// receives the fleet's stats and quarantined chunks.
+FtCheckResult checkFaultToleranceOnFleet(const Program &BaseProgram,
+                                         const FtOptions &Opts,
+                                         const FleetOptions &Fleet,
+                                         FleetResult &FleetOut);
 
 /// What one fault-tolerance run reports.
 struct FtRunResult {

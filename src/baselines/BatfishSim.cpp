@@ -9,8 +9,9 @@
 #include "sim/Simulator.h"
 #include "support/Fatal.h"
 
-#include <atomic>
 #include <cstdlib>
+#include <memory>
+#include <optional>
 
 using namespace nv;
 
@@ -69,8 +70,8 @@ std::string prefixKeyStr(size_t I) {
 /// Serializes one completed prefix into a journal record. Pops/allocation
 /// counts and the extracted row are recorded so a replayed prefix
 /// contributes exactly what the live run did.
-void recordPrefixDone(ResumeLog &Log, size_t I, const PerPrefix &P,
-                      unsigned Attempts, bool HasExtract) {
+UnitRecord makePrefixRecord(size_t I, const PerPrefix &P, unsigned Attempts,
+                            bool HasExtract) {
   UnitRecord Rec;
   Rec.Key = prefixKeyStr(I);
   addOutcome(Rec, P.Outcome, Attempts);
@@ -86,12 +87,14 @@ void recordPrefixDone(ResumeLog &Log, size_t I, const PerPrefix &P,
     }
     Rec.add("row", Row);
   }
-  Log.recordDone(Rec);
+  return Rec;
 }
 
-bool replayPrefixRecord(const UnitRecord &Rec, PerPrefix &Out) {
+/// Restores a journaled prefix into \p Out (a fresh slot); false when the
+/// record is malformed.
+bool decodePrefixRecord(const UnitRecord &Rec, PerPrefix &Out, RunOutcome &O) {
   unsigned Attempts = 1;
-  if (!parseOutcome(Rec, Out.Outcome, Attempts))
+  if (!parseOutcome(Rec, O, Attempts))
     return false;
   const std::string *Conv = Rec.get("conv");
   const std::string *Pops = Rec.get("pops");
@@ -101,19 +104,13 @@ bool replayPrefixRecord(const UnitRecord &Rec, PerPrefix &Out) {
   Out.Converged = *Conv == "1";
   Out.Pops = std::strtoull(Pops->c_str(), nullptr, 10);
   Out.ValuesAllocated = std::strtoull(Values->c_str(), nullptr, 10);
-  if (const std::string *Row = Rec.get("row")) {
-    Out.Row.clear();
-    if (!Row->empty()) {
-      size_t Pos = 0;
-      while (Pos <= Row->size()) {
-        size_t Comma = Row->find(',', Pos);
-        if (Comma == std::string::npos)
-          Comma = Row->size();
-        Out.Row.push_back(std::strtoll(Row->c_str() + Pos, nullptr, 10));
-        Pos = Comma + 1;
-      }
+  if (const std::string *Row = Rec.get("row"))
+    for (const char *P = Row->c_str(); *P;) {
+      char *End;
+      Out.Row.push_back(std::strtoll(P, &End, 10));
+      P = *End ? End + 1 : End;
     }
-  }
+  Out.Outcome = O;
   return true;
 }
 
@@ -125,80 +122,56 @@ BatfishResult nv::batfishAllPrefixes(
     const RunBudget &JobBudget, ResumeLog *Resume, const RetryPolicy &Retry) {
   std::vector<PerPrefix> Per(Destinations.size());
   BatfishResult R;
+  // Pool workers each re-parse the program ONCE (no AST node, whose
+  // free-variable cache is lazily filled, is shared across threads).
+  // Per-prefix contexts stay as in the serial path, preserving Batfish's
+  // no-sharing cost model — and keeping per-prefix allocation counts
+  // independent of the pool size.
+  bool Reparse = Pool && Pool->numThreads() > 1;
+  std::string Src = Reparse ? printProgram(ParamProgram) : std::string();
 
-  // Resume: restore journaled prefixes into their slots; only the rest
-  // enter the (serial or sharded) worklist.
-  std::vector<size_t> Pending;
-  Pending.reserve(Destinations.size());
-  for (size_t I = 0; I < Destinations.size(); ++I) {
-    if (Resume) {
-      UnitRecord Rec;
-      if (Resume->replay(prefixKeyStr(I), Rec) &&
-          replayPrefixRecord(Rec, Per[I])) {
-        ++R.PrefixesReplayed;
-        continue;
-      }
-    }
-    Pending.push_back(I);
-  }
-
-  std::atomic<uint64_t> Retries{0};
-  // One governed, retried, journaled prefix — shared by both paths.
-  auto RunOne = [&](const Program &Prog, size_t I) {
-    unsigned Attempts = 1;
-    runUnitWithRetry(JobBudget, Retry, Attempts, [&](const RunBudget &B) {
-      Per[I] = PerPrefix();
-      runOnePrefix(Prog, Destinations[I], Extract, B, Per[I]);
-      return Per[I].Outcome;
-    });
-    if (Attempts > 1)
-      Retries.fetch_add(Attempts - 1, std::memory_order_relaxed);
-    // Canceled prefixes are not journaled: they re-run on resume, which is
-    // what keeps resumed aggregates identical to uninterrupted runs.
-    if (Resume && Per[I].Outcome.Status != RunStatus::Canceled)
-      recordPrefixDone(*Resume, I, Per[I], Attempts, Extract != nullptr);
-  };
-
-  if (!Pool || Pool->numThreads() <= 1 || Pending.size() <= 1) {
-    for (size_t I : Pending)
-      RunOne(ParamProgram, I);
-  } else {
-    // One persistent worker per pool thread: each re-parses the program
-    // ONCE (no AST node, whose free-variable cache is lazily filled, is
-    // shared across threads) and claims destinations dynamically off a
-    // shared counter. Per-prefix contexts stay as in the serial path,
-    // preserving Batfish's no-sharing cost model — and keeping per-prefix
-    // allocation counts independent of the pool size.
-    std::string Src = printProgram(ParamProgram);
-    size_t Workers =
-        std::min(Pending.size(), static_cast<size_t>(Pool->numThreads()));
-    std::atomic<size_t> NextPending{0};
-    Pool->parallelFor(Workers, [&](size_t) {
+  SweepUnits U;
+  U.Count = Destinations.size();
+  U.Key = prefixKeyStr;
+  U.Worker = [&](unsigned) -> SweepRunner {
+    auto Local = std::make_shared<std::optional<Program>>();
+    if (Reparse) {
       DiagnosticEngine Diags;
-      auto Local = parseProgram(Src, Diags);
-      if (!Local || !typeCheck(*Local, Diags))
+      *Local = parseProgram(Src, Diags);
+      if (!*Local || !typeCheck(**Local, Diags))
         fatalError("internal: Batfish-baseline worker failed to re-parse "
                    "the program:\n" +
                    Diags.str());
-      for (size_t PI = NextPending.fetch_add(1); PI < Pending.size();
-           PI = NextPending.fetch_add(1))
-        RunOne(*Local, Pending[PI]);
-    });
-  }
-
-  R.RetriesPerformed = Retries.load(std::memory_order_relaxed);
-  for (PerPrefix &P : Per) {
-    R.Converged &= P.Converged;
-    ++R.PrefixesSimulated;
-    if (!P.Outcome.ok()) {
-      ++R.PrefixesSkipped;
-      if (R.Outcome.ok())
-        R.Outcome = P.Outcome; // first in destination order: deterministic
     }
+    return [&, Local](size_t I, const RunBudget &B) {
+      Per[I] = PerPrefix();
+      runOnePrefix(*Local ? **Local : ParamProgram, Destinations[I], Extract,
+                   B, Per[I]);
+      return Per[I].Outcome;
+    };
+  };
+  U.Encode = [&](size_t I, const RunOutcome &, unsigned Attempts) {
+    return makePrefixRecord(I, Per[I], Attempts, Extract != nullptr);
+  };
+  U.Decode = [&](size_t I, const UnitRecord &Rec, RunOutcome &O) {
+    return decodePrefixRecord(Rec, Per[I], O);
+  };
+  // A prefix skipped before it started keeps its empty slot: not
+  // converged, no pops, an empty Labels row.
+  U.Fold = [&](size_t I, const RunOutcome &, bool) {
+    PerPrefix &P = Per[I];
+    R.Converged &= P.Converged;
     R.TotalPops += P.Pops;
     R.TotalValuesAllocated += P.ValuesAllocated;
     if (Extract)
       R.Labels.push_back(std::move(P.Row));
-  }
+  };
+  SweepResult S = runSweep(
+      U, {.Budget = JobBudget, .Retry = Retry, .Resume = Resume, .Pool = Pool});
+  R.PrefixesSimulated = S.Units;
+  R.PrefixesSkipped = S.Skipped;
+  R.PrefixesReplayed = S.Replayed;
+  R.RetriesPerformed = S.Retries;
+  R.Outcome = S.Outcome;
   return R;
 }

@@ -17,7 +17,7 @@
 #include "eval/Value.h"
 #include "support/Diagnostics.h"
 #include "support/Governor.h"
-#include "support/Resume.h"
+#include "support/Sweep.h"
 #include "support/ThreadPool.h"
 
 #include <cstdint>
@@ -59,18 +59,11 @@ struct BatfishResult {
 /// BatfishResult::Labels (e.g. a hop count); labels themselves die with the
 /// per-prefix context. It may run concurrently and must be a pure function
 /// of its argument.
-/// \p Pool (optional) shards the destination list; per-prefix state stays
-/// isolated exactly as in the serial run, and the per-destination results
-/// are aggregated in destination order, so output is identical for any
-/// pool size.
-/// \p JobBudget (optional) governs each per-prefix run in its own scope
-/// (on the worker thread that runs it): one prefix exceeding the budget
-/// is skipped and reported, siblings are unaffected.
-/// \p Resume (optional) checkpoints each completed prefix to a journal and
-/// replays prefixes completed by a previous run (pops, allocation counts
-/// and extracted rows are recorded, so replayed aggregates are identical);
-/// canceled prefixes are never recorded and re-run on resume. \p Retry
-/// re-runs transiently tripped prefixes with an escalated budget.
+/// The prefixes are the units of one sweep (support/Sweep.h), folded in
+/// destination order, so output is identical for any \p Pool size. Each
+/// prefix runs in its own governed scope under \p JobBudget (a trip skips
+/// it alone); \p Resume and \p Retry are the sweep's journal and retry
+/// policy, and a journaled prefix keeps its pops, allocation count and row.
 BatfishResult batfishAllPrefixes(
     const Program &ParamProgram, const std::vector<uint32_t> &Destinations,
     const std::function<int64_t(const Value *)> &Extract = nullptr,

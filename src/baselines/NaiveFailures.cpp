@@ -7,7 +7,7 @@
 #include "core/TypeChecker.h"
 #include "support/Fatal.h"
 
-#include <atomic>
+#include <optional>
 
 using namespace nv;
 
@@ -19,93 +19,119 @@ SimResult nv::simulateScenario(const Program &P, ProtocolEvaluator &BaseEval,
 
 namespace {
 
-/// Simulates one scenario and appends its assertion violations to \p Out.
-/// Returns the scenario's outcome: Ok, or why the fixpoint/assert run
-/// ended early (the simulator reports trips through SimResult::Outcome;
-/// assert evaluation may throw EngineError, handled by the callers'
-/// per-scenario catch).
-RunOutcome checkOneScenario(const Program &P, ProtocolEvaluator &BaseEval,
-                            const FtScenario &S, const Value *DropValue,
-                            std::vector<FtViolation> &Out) {
-  SimResult Sim = simulateScenario(P, BaseEval, S, DropValue);
-  if (!Sim.Converged)
-    return Sim.Outcome;
-  for (uint32_t U = 0; U < Sim.Labels.size(); ++U) {
-    if (S.Node && *S.Node == U)
-      continue;
-    if (!BaseEval.assertAt(U, Sim.Labels[U]))
-      Out.push_back({S, U, Sim.Labels[U], {}});
-  }
-  return {};
-}
-
-/// Runs one scenario under its own governed scope: the per-scenario
-/// budget confines a trip to this scenario (and this worker, in the
-/// sharded path) — siblings are untouched. On a non-Ok outcome the
-/// scenario's partial violations are discarded so skipped scenarios
-/// contribute nothing, keeping results deterministic.
-RunOutcome runOneScenarioGoverned(const Program &P,
-                                  ProtocolEvaluator &BaseEval,
-                                  const FtScenario &S, const Value *DropValue,
-                                  const RunBudget &Budget,
-                                  std::vector<FtViolation> &Out) {
-  size_t From = Out.size();
+/// Runs one scenario into \p Slot under its own governed scope: the
+/// per-scenario budget confines a trip to this scenario (and this worker,
+/// in the sharded path) — siblings are untouched. A non-ok outcome leaves
+/// \p Slot empty, so skipped scenarios contribute nothing and results stay
+/// deterministic.
+RunOutcome runScenario(const Program &P, ProtocolEvaluator &BaseEval,
+                       const FtScenario &S, const Value *Drop,
+                       const RunBudget &Budget,
+                       std::vector<FtViolation> &Slot) {
+  Slot.clear();
   Governor::Scope Guard(Budget);
-  RunOutcome O;
   try {
-    O = checkOneScenario(P, BaseEval, S, DropValue, Out);
+    SimResult Sim = simulateScenario(P, BaseEval, S, Drop);
+    if (!Sim.Converged)
+      return Sim.Outcome;
+    for (uint32_t U = 0; U < Sim.Labels.size(); ++U)
+      if ((!S.Node || *S.Node != U) && !BaseEval.assertAt(U, Sim.Labels[U]))
+        Slot.push_back({S, U, Sim.Labels[U], {}});
+    return {};
   } catch (const EngineError &E) {
-    O = E.outcome();
+    Slot.clear();
+    return E.outcome();
   }
-  if (!O.ok())
-    Out.resize(From);
-  return O;
-}
-
-/// Pins the routes of violations [From, Out.size()) so they outlive the
-/// between-scenario collections. The pins are intentionally never released:
-/// the routes are reachable from the returned FtCheckResult, so they are
-/// roots of the context for as long as the result is consulted.
-void pinNewViolations(NvContext &Ctx, std::vector<FtViolation> &Out,
-                      size_t From) {
-  for (size_t I = From; I < Out.size(); ++I)
-    Ctx.pinValue(Out[I].Route);
 }
 
 /// Builds the canonical record of a completed scenario: its outcome, how
-/// many attempts the retry policy spent, and its violations ([\p From,
-/// \p To)). Every producer of scenario records — the serial and parallel
-/// in-process paths (journaling) and the fleet worker (result frames) —
-/// goes through here, which is what makes their records byte-identical.
+/// many attempts the retry policy spent, and its violations. Every producer
+/// of scenario records — the sweep's journal step and the fleet worker
+/// (result frames) — goes through here, which is what makes their records
+/// byte-identical.
 UnitRecord makeScenarioRecord(size_t I, const RunOutcome &O, unsigned Attempts,
-                              const FtViolation *From, const FtViolation *To) {
+                              const std::vector<FtViolation> &Vs) {
   UnitRecord Rec;
   Rec.Key = naiveScenarioKey(I);
   addOutcome(Rec, O, Attempts);
-  for (const FtViolation *V = From; V != To; ++V)
-    addViolationField(Rec, I, *V);
+  for (const FtViolation &V : Vs)
+    addViolationField(Rec, I, V);
   return Rec;
 }
 
-/// Durably records one completed scenario.
-void recordScenarioDone(ResumeLog &Log, size_t I, const RunOutcome &O,
-                        unsigned Attempts, const FtViolation *From,
-                        const FtViolation *To) {
-  Log.recordDone(makeScenarioRecord(I, O, Attempts, From, To));
+/// Restores a journaled or fleet scenario record: outcome into \p O,
+/// violations (Route null, RouteText filled) into \p Slot. False, leaving
+/// \p Slot untouched, when the record is malformed.
+bool decodeScenarioRecord(const UnitRecord &Rec,
+                          const std::vector<FtScenario> &Scenarios,
+                          RunOutcome &O, std::vector<FtViolation> &Slot) {
+  unsigned Attempts = 1;
+  std::vector<std::pair<size_t, FtViolation>> Vs;
+  if (!parseOutcome(Rec, O, Attempts) ||
+      !parseViolationFields(Rec, Scenarios, Vs))
+    return false;
+  Slot.clear();
+  for (auto &IV : Vs)
+    Slot.push_back(std::move(IV.second));
+  return true;
 }
 
-/// Restores a journaled scenario: outcome into \p OutcomeOut, violations
-/// (Route null, RouteText filled) appended to \p ViolationsOut.
-void replayScenarioRecord(const UnitRecord &Rec,
-                          const std::vector<FtScenario> &Scenarios,
-                          RunOutcome &OutcomeOut,
-                          std::vector<FtViolation> &ViolationsOut) {
-  unsigned Attempts = 1;
-  parseOutcome(Rec, OutcomeOut, Attempts);
-  std::vector<std::pair<size_t, FtViolation>> Vs;
-  if (parseViolationFields(Rec, Scenarios, Vs))
-    for (auto &[Idx, V] : Vs)
-      ViolationsOut.push_back(std::move(V));
+/// runScenario on an evaluator reused across scenarios: the violation
+/// routes are pinned (for good: the result refers to them), then the
+/// scenario's fixpoint garbage is collected back down to the pinned
+/// baseline (evaluator globals and partials, drop value, violations).
+RunOutcome runAndCollect(const Program &P, ProtocolEvaluator &BaseEval,
+                         const FtScenario &S, const Value *Drop,
+                         const RunBudget &Budget,
+                         std::vector<FtViolation> &Slot) {
+  RunOutcome O = runScenario(P, BaseEval, S, Drop, Budget, Slot);
+  for (const FtViolation &V : Slot)
+    BaseEval.ctx().pinValue(V.Route);
+  BaseEval.ctx().resetBetweenRuns();
+  return O;
+}
+
+/// Each scenario's violations, by scenario index.
+using ScenarioSlots = std::vector<std::vector<FtViolation>>;
+
+/// The naive analysis as a sweep: unit I is scenario I, keyed "s<I>", its
+/// slot the scenario's violations, folded in scenario order. The serial,
+/// pool and fleet entry points differ only in their workers.
+FtCheckResult sweepScenarios(
+    const std::vector<FtScenario> &Scenarios, const FtOptions &Opts,
+    const std::function<SweepRunner(unsigned, ScenarioSlots &)> &Worker,
+    ThreadPool *Pool, const FleetOptions *Fleet = nullptr,
+    FleetResult *FleetOut = nullptr) {
+  ScenarioSlots Slots(Scenarios.size());
+  FtCheckResult R;
+  SweepUnits U;
+  U.Count = Scenarios.size();
+  U.Key = naiveScenarioKey;
+  U.Worker = [&](unsigned W) { return Worker(W, Slots); };
+  U.Encode = [&](size_t I, const RunOutcome &O, unsigned Attempts) {
+    return makeScenarioRecord(I, O, Attempts, Slots[I]);
+  };
+  U.Decode = [&](size_t I, const UnitRecord &Rec, RunOutcome &O) {
+    return decodeScenarioRecord(Rec, Scenarios, O, Slots[I]);
+  };
+  U.Fold = [&](size_t I, const RunOutcome &, bool) {
+    for (FtViolation &V : Slots[I])
+      R.Violations.push_back(std::move(V));
+    std::vector<FtViolation>().swap(Slots[I]);
+  };
+  SweepResult S = runSweep(U, {.Budget = Opts.Budget,
+                                .Retry = Opts.Retry,
+                                .Resume = Opts.Resume,
+                                .Pool = Pool,
+                                .Fleet = Fleet});
+  R.ScenariosChecked = S.Units;
+  R.ScenariosSkipped = S.Skipped;
+  R.ScenariosReplayed = S.Replayed;
+  R.RetriesPerformed = S.Retries;
+  R.Outcome = S.Outcome;
+  if (FleetOut)
+    *FleetOut = std::move(S.Fleet);
+  return R;
 }
 
 } // namespace
@@ -122,95 +148,39 @@ UnitRecord nv::runNaiveScenarioRecord(const Program &P,
                                       size_t I, const Value *DropValue,
                                       const FtOptions &Opts) {
   std::vector<FtViolation> Vs;
-  unsigned Attempts = 1;
-  RunOutcome O = runUnitWithRetry(
-      Opts.Budget, Opts.Retry, Attempts, [&](const RunBudget &B) {
-        return runOneScenarioGoverned(P, BaseEval, Scenarios[I], DropValue, B,
-                                      Vs);
-      });
+  SweepUnits U;
+  U.Encode = [&](size_t I, const RunOutcome &O, unsigned Attempts) {
+    return makeScenarioRecord(I, O, Attempts, Vs);
+  };
   // Render the record (routeStr reads the live routes) BEFORE collecting
   // the scenario's garbage; nothing in Vs needs to survive the reset.
-  UnitRecord Rec =
-      makeScenarioRecord(I, O, Attempts, Vs.data(), Vs.data() + Vs.size());
+  UnitRecord Rec = runSweepUnit(
+      U,
+      [&](size_t I, const RunBudget &B) {
+        return runScenario(P, BaseEval, Scenarios[I], DropValue, B, Vs);
+      },
+      I, {.Budget = Opts.Budget, .Retry = Opts.Retry});
   BaseEval.ctx().resetBetweenRuns();
   return Rec;
-}
-
-bool nv::aggregateNaiveScenarioRecords(
-    const std::vector<FtScenario> &Scenarios,
-    const std::function<bool(const std::string &, UnitRecord &)> &Lookup,
-    FtCheckResult &Out) {
-  Out.ScenariosChecked = Scenarios.size();
-  for (size_t I = 0; I < Scenarios.size(); ++I) {
-    UnitRecord Rec;
-    if (!Lookup(naiveScenarioKey(I), Rec))
-      return false;
-    RunOutcome O;
-    unsigned Attempts = 1;
-    parseOutcome(Rec, O, Attempts);
-    Out.RetriesPerformed += Attempts - 1;
-    replayScenarioRecord(Rec, Scenarios, O, Out.Violations);
-    if (!O.ok()) {
-      ++Out.ScenariosSkipped;
-      if (Out.Outcome.ok())
-        Out.Outcome = O;
-    }
-  }
-  return true;
 }
 
 FtCheckResult nv::naiveFaultTolerance(const Program &P,
                                       ProtocolEvaluator &BaseEval,
                                       const FtOptions &Opts,
                                       const Value *DropValue) {
-  FtCheckResult R;
-  auto Scenarios = enumerateScenarios(P, Opts);
   NvContext &Ctx = BaseEval.ctx();
   if (DropValue)
     Ctx.pinValue(DropValue);
-  for (size_t I = 0; I < Scenarios.size(); ++I) {
-    const FtScenario &S = Scenarios[I];
-    ++R.ScenariosChecked;
-    if (Opts.Resume) {
-      UnitRecord Rec;
-      if (Opts.Resume->replay(naiveScenarioKey(I), Rec)) {
-        RunOutcome O;
-        replayScenarioRecord(Rec, Scenarios, O, R.Violations);
-        if (!O.ok()) {
-          ++R.ScenariosSkipped;
-          if (R.Outcome.ok())
-            R.Outcome = O;
-        }
-        ++R.ScenariosReplayed;
-        continue;
-      }
-    }
-    size_t From = R.Violations.size();
-    unsigned Attempts = 1;
-    RunOutcome O = runUnitWithRetry(
-        Opts.Budget, Opts.Retry, Attempts, [&](const RunBudget &B) {
-          return runOneScenarioGoverned(P, BaseEval, S, DropValue, B,
-                                        R.Violations);
-        });
-    R.RetriesPerformed += Attempts - 1;
-    if (!O.ok()) {
-      ++R.ScenariosSkipped;
-      if (R.Outcome.ok())
-        R.Outcome = O;
-    }
-    pinNewViolations(Ctx, R.Violations, From);
-    // A canceled scenario is deliberately NOT journaled: cancellation is
-    // the run stopping, not the scenario resolving, so it re-runs on
-    // resume — which is what keeps resumed aggregates identical to an
-    // uninterrupted run.
-    if (Opts.Resume && O.Status != RunStatus::Canceled)
-      recordScenarioDone(*Opts.Resume, I, O, Attempts,
-                         R.Violations.data() + From,
-                         R.Violations.data() + R.Violations.size());
-    // Collect the scenario's fixpoint garbage back down to the pinned
-    // baseline (evaluator globals + partials, drop value, violations).
-    Ctx.resetBetweenRuns();
-  }
+  auto Scenarios = enumerateScenarios(P, Opts);
+  FtCheckResult R = sweepScenarios(
+      Scenarios, Opts,
+      [&](unsigned, ScenarioSlots &Slots) {
+        return [&](size_t I, const RunBudget &B) {
+          return runAndCollect(P, BaseEval, Scenarios[I], DropValue, B,
+                               Slots[I]);
+        };
+      },
+      /*Pool=*/nullptr);
   if (DropValue)
     Ctx.unpinValue(DropValue);
   return R;
@@ -219,102 +189,59 @@ FtCheckResult nv::naiveFaultTolerance(const Program &P,
 FtCheckResult nv::naiveFaultToleranceParallel(
     const Program &P, const FtOptions &Opts, ThreadPool &Pool,
     const std::function<const Value *(NvContext &)> &MakeDrop) {
-  FtCheckResult R;
   auto Scenarios = enumerateScenarios(P, Opts);
-  if (Scenarios.empty())
-    return R;
-
   // One persistent worker per pool thread. Each worker re-parses the
   // program ONCE (AST nodes carry a lazily-filled free-variable cache, so
   // sharing them across threads would race), builds one evaluator over its
-  // own NvContext/BddManager arena, then claims scenarios dynamically off
-  // a shared counter and garbage-collects its arena back to the pinned
-  // baseline between scenarios — instead of the old scheme of building
-  // (and throwing away) a fresh parse + arena per contiguous chunk.
+  // own NvContext/BddManager arena, then claims scenarios off the sweep and
+  // garbage-collects its arena back to the pinned baseline between them.
+  // Violations land in per-scenario slots folded in scenario order, so the
+  // logical result is identical for any pool size (route pointers live in
+  // the per-worker arenas retained by the result).
+  struct Worker {
+    std::optional<Program> Local;
+    std::shared_ptr<NvContext> Ctx;
+    std::unique_ptr<InterpProgramEvaluator> Eval;
+    const Value *Drop = nullptr;
+  };
   std::string Src = printProgram(P);
-
-  // Violations land in per-scenario slots and are concatenated in scenario
-  // order below, so the logical result is identical for any pool size and
-  // any dynamic interleaving (route pointers live in the per-worker arenas
-  // retained by the result).
-  std::vector<std::vector<FtViolation>> PerScenario(Scenarios.size());
-  std::vector<RunOutcome> PerOutcome(Scenarios.size());
-
-  // Resume: journaled scenarios are restored up front and never enter the
-  // worklist, so workers only claim pending ones. The per-scenario slots
-  // make replayed and live results indistinguishable to the aggregation.
-  std::vector<size_t> Pending;
-  Pending.reserve(Scenarios.size());
-  for (size_t I = 0; I < Scenarios.size(); ++I) {
-    if (Opts.Resume) {
-      UnitRecord Rec;
-      if (Opts.Resume->replay(naiveScenarioKey(I), Rec)) {
-        replayScenarioRecord(Rec, Scenarios, PerOutcome[I], PerScenario[I]);
-        ++R.ScenariosReplayed;
-        continue;
-      }
-    }
-    Pending.push_back(I);
-  }
-
-  size_t Workers = std::min(Pending.size(), (size_t)Pool.numThreads());
-  std::vector<std::shared_ptr<NvContext>> Ctxs(Workers);
-  std::atomic<size_t> NextPending{0};
-  std::atomic<uint64_t> Retries{0};
-
-  if (Workers > 0)
-    Pool.parallelFor(Workers, [&](size_t W) {
-      DiagnosticEngine Diags;
-      auto Local = parseProgram(Src, Diags);
-      if (!Local || !typeCheck(*Local, Diags))
-        fatalError("internal: naive-baseline worker failed to re-parse the "
-                   "program:\n" +
-                   Diags.str());
-      auto Ctx = std::make_shared<NvContext>(Local->numNodes());
-      InterpProgramEvaluator BaseEval(*Ctx, *Local);
-      const Value *Drop = MakeDrop ? MakeDrop(*Ctx) : Ctx->noneV();
-      Ctx->pinValue(Drop);
-      for (size_t PI = NextPending.fetch_add(1); PI < Pending.size();
-           PI = NextPending.fetch_add(1)) {
-        size_t I = Pending[PI];
+  std::vector<std::shared_ptr<NvContext>> Ctxs(Pool.numThreads());
+  FtCheckResult R = sweepScenarios(
+      Scenarios, Opts,
+      [&](unsigned W, ScenarioSlots &Slots) {
+        auto Wk = std::make_shared<Worker>();
+        DiagnosticEngine Diags;
+        Wk->Local = parseProgram(Src, Diags);
+        if (!Wk->Local || !typeCheck(*Wk->Local, Diags))
+          fatalError("internal: naive-baseline worker failed to re-parse the "
+                     "program:\n" +
+                     Diags.str());
+        Wk->Ctx = std::make_shared<NvContext>(Wk->Local->numNodes());
+        Wk->Eval =
+            std::make_unique<InterpProgramEvaluator>(*Wk->Ctx, *Wk->Local);
+        Wk->Drop = MakeDrop ? MakeDrop(*Wk->Ctx) : Wk->Ctx->noneV();
+        Wk->Ctx->pinValue(Wk->Drop);
+        Ctxs[W] = Wk->Ctx;
         // Each scenario is governed in its own scope on this worker thread
         // (the thread-local governor chain does not cross the pool), so a
-        // budget trip or injected fault skips exactly this scenario;
-        // sibling scenarios on this and other workers proceed and their
-        // results are bit-identical to an ungoverned run. Transient trips
-        // retry with an escalated budget before counting as skipped.
-        unsigned Attempts = 1;
-        PerOutcome[I] = runUnitWithRetry(
-            Opts.Budget, Opts.Retry, Attempts, [&](const RunBudget &B) {
-              return runOneScenarioGoverned(*Local, BaseEval, Scenarios[I],
-                                            Drop, B, PerScenario[I]);
-            });
-        if (Attempts > 1)
-          Retries.fetch_add(Attempts - 1, std::memory_order_relaxed);
-        pinNewViolations(*Ctx, PerScenario[I], 0);
-        // Canceled scenarios are not journaled (see naiveFaultTolerance):
-        // they re-run on resume. recordDone is thread-safe.
-        if (Opts.Resume && PerOutcome[I].Status != RunStatus::Canceled)
-          recordScenarioDone(*Opts.Resume, I, PerOutcome[I], Attempts,
-                             PerScenario[I].data(),
-                             PerScenario[I].data() + PerScenario[I].size());
-        Ctx->resetBetweenRuns();
-      }
-      Ctxs[W] = std::move(Ctx);
-    });
-
-  R.ScenariosChecked = Scenarios.size();
-  R.RetriesPerformed = Retries.load(std::memory_order_relaxed);
-  for (size_t I = 0; I < Scenarios.size(); ++I) {
-    if (!PerOutcome[I].ok()) {
-      ++R.ScenariosSkipped;
-      if (R.Outcome.ok())
-        R.Outcome = PerOutcome[I]; // first in scenario order: deterministic
-    }
-    R.Violations.insert(R.Violations.end(), PerScenario[I].begin(),
-                        PerScenario[I].end());
-  }
+        // budget trip or injected fault skips exactly this scenario.
+        return SweepRunner([Wk, &Scenarios, &Slots](size_t I,
+                                                    const RunBudget &B) {
+          return runAndCollect(*Wk->Local, *Wk->Eval, Scenarios[I], Wk->Drop,
+                               B, Slots[I]);
+        });
+      },
+      &Pool);
   for (auto &C : Ctxs)
-    R.RetainedContexts.push_back(std::move(C));
+    if (C)
+      R.RetainedContexts.push_back(std::move(C));
   return R;
+}
+
+FtCheckResult nv::naiveFaultToleranceOnFleet(const Program &P,
+                                             const FtOptions &Opts,
+                                             const FleetOptions &Fleet,
+                                             FleetResult &FleetOut) {
+  return sweepScenarios(enumerateScenarios(P, Opts), Opts, nullptr,
+                        /*Pool=*/nullptr, &Fleet, &FleetOut);
 }

@@ -14,6 +14,7 @@
 #include "analysis/FaultTolerance.h"
 #include "eval/ProgramEvaluator.h"
 #include "sim/Simulator.h"
+#include "support/Sweep.h"
 
 namespace nv {
 
@@ -82,7 +83,7 @@ FtCheckResult naiveFaultTolerance(const Program &P,
 std::string naiveScenarioKey(size_t I);
 
 /// Runs scenario \p I end to end — own governed scope, transient-retry —
-/// and returns the same UnitRecord the in-process paths journal for it
+/// and returns the same UnitRecord the in-process sweep journals for it
 /// (outcome + attempts + one "v" field per violation). This is the fleet
 /// worker's unit handler: BaseEval's arena is collected back to its
 /// pinned baseline before returning, so one evaluator serves many jobs.
@@ -91,33 +92,29 @@ UnitRecord runNaiveScenarioRecord(const Program &P, ProtocolEvaluator &BaseEval,
                                   size_t I, const Value *DropValue,
                                   const FtOptions &Opts);
 
-/// Folds one record per scenario — from a fleet run, a resume journal, or
-/// a mix of both — into \p Out with exactly the replay path's semantics:
-/// violations in scenario order (Route null, RouteText filled), non-ok
-/// records counted as skipped, first non-ok outcome in scenario order
-/// kept. Returns false when some scenario's record is missing. The caller
-/// sets ScenariosReplayed (the split is its to know).
-bool aggregateNaiveScenarioRecords(
-    const std::vector<FtScenario> &Scenarios,
-    const std::function<bool(const std::string &, UnitRecord &)> &Lookup,
-    FtCheckResult &Out);
-
 /// Thread-sharded naive analysis: one persistent worker per pool thread.
 /// Each worker re-parses the program once into its own NvContext/
 /// BddManager arena (hash-consing stays lock-free and no AST node, whose
-/// free-variable cache is lazily filled, is shared across threads), claims
-/// scenarios dynamically off a shared counter, and garbage-collects its
-/// arena back to the pinned evaluator baseline between scenarios instead
-/// of rebuilding parse + arena per chunk. Violations land in per-scenario
-/// slots and are concatenated in scenario order, so the logical result is
-/// identical for any pool size (route pointers live in per-worker arenas
-/// retained by the result).
+/// free-variable cache is lazily filled, is shared across threads), and
+/// garbage-collects it back to the pinned evaluator baseline between the
+/// scenarios it claims. The sweep folds scenarios in order, so the logical
+/// result is identical for any pool size (route pointers live in
+/// per-worker arenas retained by the result).
 ///
 /// \p MakeDrop builds the injected "dropped route" value in a worker's
 /// context (defaults to None); it must be a pure function of the context.
 FtCheckResult naiveFaultToleranceParallel(
     const Program &P, const FtOptions &Opts, ThreadPool &Pool,
     const std::function<const Value *(NvContext &)> &MakeDrop = {});
+
+/// The naive analysis with its scenarios run on the worker fleet \p Fleet,
+/// whose workers answer each job with runNaiveScenarioRecord. The records
+/// fold exactly like replayed ones, so the result equals the in-process
+/// one. \p FleetOut receives the fleet's stats and quarantined units.
+FtCheckResult naiveFaultToleranceOnFleet(const Program &P,
+                                         const FtOptions &Opts,
+                                         const FleetOptions &Fleet,
+                                         FleetResult &FleetOut);
 
 } // namespace nv
 

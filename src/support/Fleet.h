@@ -18,10 +18,10 @@
 /// payload — with a leading type byte: 'J' job (key '\n' spec), 'R'
 /// result (a rendered Resume UnitRecord), 'H' heartbeat (current job
 /// key), 'W' hello, 'Q' shutdown. A worker's result payload is the
-/// *same* UnitRecord the in-process resume path journals for that unit,
-/// which is what makes fleet aggregates bit-identical to `--workers 0`:
-/// the coordinator journals records as they land and the driver merges
-/// them in deterministic unit order through the existing replay path.
+/// *same* UnitRecord the in-process sweep journals for that unit, which
+/// is what makes fleet aggregates bit-identical to `--workers 0`: the
+/// unit sweep (support/Sweep.h) journals records as they land and folds
+/// them in deterministic unit order, exactly like replayed ones.
 ///
 /// Robustness policy:
 ///  - Liveness: workers heartbeat every HeartbeatMs; a worker silent for

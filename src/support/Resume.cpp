@@ -1,4 +1,4 @@
-//===- Resume.cpp - Checkpoint/resume, retry, graceful shutdown -----------===//
+//===- Resume.cpp - Checkpoint/resume and graceful shutdown -----------------===//
 //
 // Part of nv-cpp, a C++ reproduction of "NV: An Intermediate Language for
 // Verification of Network Control Planes" (PLDI 2020).
@@ -187,7 +187,6 @@ ResumeLog::OpenResult ResumeLog::open(const std::string &Path,
   }
 
   std::unique_ptr<ResumeLog> Log(new ResumeLog());
-  Log->Path = Path;
   std::string Error;
 
   if (R.St == JournalRead::State::NoFile) {
@@ -238,10 +237,6 @@ bool ResumeLog::replay(const std::string &Key, UnitRecord &Out) const {
   return true;
 }
 
-bool ResumeLog::isDone(const std::string &Key) const {
-  return Replayed.count(Key) != 0;
-}
-
 void ResumeLog::recordDone(const UnitRecord &R) {
   std::string Payload = R.render();
   std::lock_guard<std::mutex> Lock(M);
@@ -266,49 +261,25 @@ size_t ResumeLog::entryCount() const {
   return Replayed.size() + NewlyRecorded;
 }
 
-//===----------------------------------------------------------------------===//
-// RetryPolicy
-//===----------------------------------------------------------------------===//
-
-bool isTransientOutcome(const RunOutcome &O) {
-  // Canceled means the whole run is stopping; Quarantined means the fleet
-  // already exhausted its retry policy on the job — neither should be
-  // retried by the per-unit policy.
-  return O.resourceLimit() && O.Status != RunStatus::Canceled &&
-         O.Status != RunStatus::Quarantined;
-}
-
-RunBudget escalateBudget(const RunBudget &Budget, double Scale,
-                         unsigned Attempt) {
-  RunBudget B = Budget;
-  if (Attempt <= 1 || Scale <= 1.0)
-    return B;
-  double F = 1.0;
-  for (unsigned I = 1; I < Attempt; ++I)
-    F *= Scale;
-  if (B.DeadlineMs > 0)
-    B.DeadlineMs *= F;
-  if (B.MaxSteps > 0)
-    B.MaxSteps = uint64_t(double(B.MaxSteps) * F);
-  if (B.MaxLiveNodes > 0)
-    B.MaxLiveNodes = size_t(double(B.MaxLiveNodes) * F);
-  if (B.MaxHeapBytes > 0)
-    B.MaxHeapBytes = size_t(double(B.MaxHeapBytes) * F);
-  return B;
-}
-
-RunOutcome
-runUnitWithRetry(const RunBudget &Budget, const RetryPolicy &Policy,
-                 unsigned &AttemptsOut,
-                 const std::function<RunOutcome(const RunBudget &)> &Unit) {
-  unsigned MaxAttempts = Policy.MaxAttempts ? Policy.MaxAttempts : 1;
-  RunOutcome O;
-  for (unsigned Attempt = 1;; ++Attempt) {
-    O = Unit(escalateBudget(Budget, Policy.BudgetScale, Attempt));
-    AttemptsOut = Attempt;
-    if (O.ok() || !isTransientOutcome(O) || Attempt >= MaxAttempts)
-      return O;
+bool openCliResume(const char *Tool, const std::string &Path,
+                   const RunBinding &Binding, std::unique_ptr<ResumeLog> &Log) {
+  if (Path.empty())
+    return true;
+  ResumeLog::OpenResult R = ResumeLog::open(Path, Binding);
+  if (!R.Log) {
+    std::fprintf(stderr, "%s: %s\n", Tool, R.Error.c_str());
+    return false;
   }
+  Log = std::move(R.Log);
+  if (Log->tornTailDropped())
+    std::fprintf(stderr,
+                 "%s: note: %s ended mid-entry (interrupted write); the "
+                 "torn entry was dropped and that unit re-runs\n",
+                 Tool, Path.c_str());
+  if (Log->replayedCount())
+    std::printf("resuming from %s: %zu completed unit(s) replayed\n",
+                Path.c_str(), Log->replayedCount());
+  return true;
 }
 
 //===----------------------------------------------------------------------===//

@@ -1,4 +1,4 @@
-//===- Resume.h - Checkpoint/resume, retry, graceful shutdown ---*- C++ -*-===//
+//===- Resume.h - Checkpoint/resume and graceful shutdown ------*- C++ -*-===//
 //
 // Part of nv-cpp, a C++ reproduction of "NV: An Intermediate Language for
 // Verification of Network Control Planes" (PLDI 2020).
@@ -20,17 +20,15 @@
 ///    whose binding differs — a stale or mismatched journal is rejected,
 ///    never silently reused.
 ///
-///  - ResumeLog: the engine-facing journal handle. Engines ask isDone /
-///    replay before running a unit, and recordDone (thread-safe) after
-///    completing one. Replayed results make the resumed run's aggregate
-///    output bit-identical to an uninterrupted run at any thread count:
-///    recorded payloads carry everything the aggregate needs, and the
-///    deterministic unit order of PR 1's sharding does the rest.
+///  - UnitRecord: one completed unit's line-based journal payload.
 ///
-///  - RetryPolicy / runUnitWithRetry: a unit that fails with a transient
-///    resource-limit outcome (deadline, step/node budget, injected fault
-///    — not cancellation) is retried with an escalated budget before
-///    being durably recorded as skipped.
+///  - ResumeLog: the journal handle. Its one user is the unit sweep
+///    (support/Sweep.h), which replays a unit before running it and
+///    records it (thread-safe) after completing it. Replayed results make
+///    the resumed run's aggregate output bit-identical to an uninterrupted
+///    run at any thread count: recorded payloads carry everything the
+///    aggregate needs, and the sweep folds units in their deterministic
+///    order.
 ///
 ///  - GracefulShutdown: SIGINT/SIGTERM → CancelToken. In-flight jobs
 ///    drain at their governor safe points, completed units stay durable
@@ -144,7 +142,6 @@ public:
 
   /// True when \p Key completed in a previous run; fills \p Out.
   bool replay(const std::string &Key, UnitRecord &Out) const;
-  bool isDone(const std::string &Key) const;
 
   /// Durably records a completed unit. Thread-safe; one frame + fdatasync
   /// per call. Journal I/O failure disables further writes (stderr warning
@@ -157,12 +154,10 @@ public:
   /// Units loaded + units recorded by this process (each key counted once).
   size_t entryCount() const;
   bool tornTailDropped() const { return TornTail; }
-  const std::string &path() const { return Path; }
 
 private:
   ResumeLog() = default;
 
-  std::string Path;
   bool TornTail = false;
   std::map<std::string, UnitRecord> Replayed;
   mutable std::mutex M;
@@ -171,43 +166,12 @@ private:
   bool WarnedBroken = false;             ///< Guarded by M.
 };
 
-//===----------------------------------------------------------------------===//
-// RetryPolicy
-//===----------------------------------------------------------------------===//
-
-/// Per-unit retry for transient failures. A unit outcome is *transient*
-/// when it is a resource limit other than cancellation (deadline, step/
-/// node/heap budget, injected fault): the same unit may well succeed with
-/// a bigger budget or without the injected fault. Cancellation is the
-/// whole run stopping — never retried, never durably recorded, so the
-/// unit re-runs on resume. EvalError/InternalError are deterministic and
-/// retrying them would just repeat the failure.
-struct RetryPolicy {
-  /// Total attempts per unit (1 = retry disabled, the default — existing
-  /// single-shot semantics are unchanged unless a driver opts in).
-  unsigned MaxAttempts = 1;
-  /// Budget escalation per retry: attempt k runs with every finite limit
-  /// of the unit budget multiplied by BudgetScale^(k-1).
-  double BudgetScale = 2.0;
-
-  bool enabled() const { return MaxAttempts > 1; }
-};
-
-/// True when \p O is worth retrying under the policy above.
-bool isTransientOutcome(const RunOutcome &O);
-
-/// \p Budget with every finite limit scaled by \p Scale^(Attempt-1); the
-/// CancelToken pointer is preserved (escalation never un-cancels a run).
-RunBudget escalateBudget(const RunBudget &Budget, double Scale,
-                         unsigned Attempt);
-
-/// Runs \p Unit (called with the attempt's budget; must return the unit's
-/// RunOutcome and be re-runnable from scratch) up to Policy.MaxAttempts
-/// times, escalating the budget between attempts, until the outcome is ok
-/// or non-transient. Returns the final outcome and fills \p AttemptsOut.
-RunOutcome runUnitWithRetry(const RunBudget &Budget, const RetryPolicy &Policy,
-                            unsigned &AttemptsOut,
-                            const std::function<RunOutcome(const RunBudget &)> &Unit);
+/// A CLI's --resume step: opens \p Path (nothing to do when it is empty)
+/// and reports a torn tail and the replayed units. On failure it reports
+/// the error and returns false: a corrupt or mismatched journal is a user
+/// error (exit 2), never silently reused.
+bool openCliResume(const char *Tool, const std::string &Path,
+                   const RunBinding &Binding, std::unique_ptr<ResumeLog> &Log);
 
 //===----------------------------------------------------------------------===//
 // GracefulShutdown

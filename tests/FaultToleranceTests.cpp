@@ -174,9 +174,7 @@ size_t expectCheckerMatchesLookup(const std::string &Src,
   FtOptions ChunkOpts = Opts;
   ChunkOpts.CheckChunkSize = 7; // several chunks, one of them partial
   FtChecker Checker(Ctx, P, BaseEval, MetaR, ChunkOpts);
-  std::vector<FtViolation> Got;
-  for (size_t C = 0; C < Checker.chunks().count(); ++C)
-    Checker.checkChunk(C, nullptr, &Got);
+  std::vector<FtViolation> Got = Checker.check().Violations;
 
   const std::vector<FtScenario> Scenarios = enumerateScenarios(P, Opts);
   EXPECT_EQ(Checker.chunks().Scenarios, Scenarios.size());

@@ -17,6 +17,7 @@
 #include "support/Journal.h"
 #include "support/Resume.h"
 #include "support/Subprocess.h"
+#include "support/Sweep.h"
 
 #include <gtest/gtest.h>
 
@@ -242,6 +243,119 @@ TEST(FleetPoison, QuarantinedAfterThresholdDeathsWithRepro) {
   RunOutcome Sib;
   ASSERT_TRUE(parseOutcome(FR.Results.at("p0"), Sib, Attempts));
   EXPECT_TRUE(Sib.ok());
+}
+
+//===----------------------------------------------------------------------===//
+// The unit sweep on a fleet
+//===----------------------------------------------------------------------===//
+
+/// A sweep whose units are echo jobs: unit I's spec is "payload-I", its
+/// slot the echoed spec; Fold concatenates the slots in fold order.
+struct EchoSweep {
+  explicit EchoSweep(size_t N) : Slots(N) {
+    U.Count = N;
+    U.Key = [](size_t I) {
+      std::string K = "f";
+      return K += std::to_string(I);
+    };
+    U.Spec = [](size_t I) {
+      std::string S = "payload-";
+      return S += std::to_string(I);
+    };
+    U.Encode = [this](size_t I, const RunOutcome &O, unsigned Attempts) {
+      UnitRecord Rec;
+      Rec.Key = U.Key(I);
+      addOutcome(Rec, O, Attempts);
+      Rec.add("echo", Slots[I]);
+      return Rec;
+    };
+    U.Decode = [this](size_t I, const UnitRecord &Rec, RunOutcome &O) {
+      unsigned Attempts = 1;
+      const std::string *Echo = Rec.get("echo");
+      if (!parseOutcome(Rec, O, Attempts) || !Echo || Rec.Key == Reject)
+        return false;
+      Slots[I] = *Echo;
+      return true;
+    };
+    U.Fold = [this](size_t I, const RunOutcome &O, bool Replayed) {
+      Folded += std::to_string(I) + (Replayed ? "r" : "") + "=" +
+                (O.ok() ? Slots[I] : runStatusName(O.Status)) + ";";
+    };
+  }
+
+  SweepUnits U;
+  std::vector<std::string> Slots;
+  std::string Reject; ///< A key whose record does not decode.
+  std::string Folded;
+};
+
+TEST(FleetSweep, RecordsFoldInUnitOrderAndJournalLikeLiveUnits) {
+  std::string Path = tmpPath("sweep_journal");
+  std::remove(Path.c_str());
+  RunBinding B;
+  B.set("tool", "fleet-tests-sweep");
+  FleetOptions FO = testOptions("echo", 3);
+  std::string Want;
+  for (size_t I = 0; I < 12; ++I)
+    Want += std::to_string(I) + "=payload-" + std::to_string(I) + ";";
+
+  auto L = ResumeLog::open(Path, B);
+  ASSERT_TRUE(L.Log) << L.Error;
+  EchoSweep S(12);
+  SweepOptions SO;
+  SO.Fleet = &FO;
+  SO.Resume = L.Log.get();
+  SweepResult R = runSweep(S.U, SO);
+  ASSERT_TRUE(R.Fleet.Outcome.ok()) << R.Fleet.Outcome.str();
+  EXPECT_TRUE(R.Outcome.ok()) << R.Outcome.str();
+  EXPECT_EQ(R.Units, 12u);
+  EXPECT_EQ(R.Fleet.Stats.JobsCompleted, 12u);
+  EXPECT_EQ(S.Folded, Want); // unit order, whatever the landing order
+  EXPECT_EQ(L.Log->entryCount(), 12u);
+  L.Log.reset();
+
+  // Resumed: every unit replays from the journal the fleet run wrote, and
+  // the fleet gets no job.
+  auto L2 = ResumeLog::open(Path, B);
+  ASSERT_TRUE(L2.Log) << L2.Error;
+  EchoSweep S2(12);
+  SO.Resume = L2.Log.get();
+  SweepResult R2 = runSweep(S2.U, SO);
+  EXPECT_EQ(R2.Replayed, 12u);
+  EXPECT_EQ(R2.Fleet.Stats.JobsCompleted, 0u);
+  std::string WantReplayed;
+  for (size_t I = 0; I < 12; ++I)
+    WantReplayed += std::to_string(I) + "r=payload-" + std::to_string(I) + ";";
+  EXPECT_EQ(S2.Folded, WantReplayed);
+  std::remove(Path.c_str());
+}
+
+TEST(FleetSweep, MissingOrMalformedRecordsFailTheFold) {
+  // A record that does not decode fails its unit, not silently.
+  {
+    FleetOptions FO = testOptions("echo", 2);
+    EchoSweep S(4);
+    S.Reject = "f2";
+    SweepOptions SO;
+    SO.Fleet = &FO;
+    SweepResult R = runSweep(S.U, SO);
+    EXPECT_EQ(R.Outcome.Status, RunStatus::InternalError) << R.Outcome.str();
+    EXPECT_EQ(R.Skipped, 1u);
+    EXPECT_EQ(S.Folded,
+              "0=payload-0;1=payload-1;2=internal-error;3=payload-3;");
+  }
+  // A fleet that cannot run leaves every unit without a record.
+  {
+    FleetOptions FO = testOptions("echo", 2);
+    FO.WorkerArgv.clear();
+    EchoSweep S(3);
+    SweepOptions SO;
+    SO.Fleet = &FO;
+    SweepResult R = runSweep(S.U, SO);
+    EXPECT_EQ(R.Outcome.Status, RunStatus::InternalError) << R.Outcome.str();
+    EXPECT_EQ(R.Units, 3u);
+    EXPECT_EQ(R.Skipped, 3u);
+  }
 }
 
 } // namespace

@@ -16,13 +16,20 @@
 #include "support/Governor.h"
 #include "support/Journal.h"
 #include "support/Resume.h"
+#include "support/Sweep.h"
 #include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <memory>
 #include <set>
+#include <thread>
 #include <tuple>
 
 using namespace nv;
@@ -428,9 +435,9 @@ TEST(ResumeLogTest, FreshJournalRecordsThenReplays) {
   auto R2 = ResumeLog::open(Path, testBinding());
   ASSERT_TRUE(R2.Log) << R2.Error;
   EXPECT_EQ(R2.Log->replayedCount(), 2u);
-  EXPECT_TRUE(R2.Log->isDone("s0"));
-  EXPECT_FALSE(R2.Log->isDone("s2"));
   UnitRecord Out;
+  EXPECT_TRUE(R2.Log->replay("s0", Out));
+  EXPECT_FALSE(R2.Log->replay("s2", Out));
   ASSERT_TRUE(R2.Log->replay("s1", Out));
   ASSERT_NE(Out.get("status"), nullptr);
   EXPECT_EQ(*Out.get("status"), "ok");
@@ -499,8 +506,8 @@ TEST(ResumeLogTest, TornTailToleratedAndUnitRerecorded) {
   ASSERT_TRUE(R.Log) << R.Error;
   EXPECT_TRUE(R.Log->tornTailDropped());
   EXPECT_EQ(R.Log->replayedCount(), 1u); // s1's frame was torn: it re-runs
-  EXPECT_FALSE(R.Log->isDone("s1"));
   UnitRecord U;
+  EXPECT_FALSE(R.Log->replay("s1", U));
   U.Key = "s1";
   R.Log->recordDone(U);
   EXPECT_EQ(R.Log->entryCount(), 2u);
@@ -592,10 +599,11 @@ TEST(NaiveResume, InterruptedRunResumesIdenticalAtAnyThreadCount) {
 
 TEST(NaiveFleetRecords, WorkerRecordsAggregateIdenticalToInProcess) {
   // The fleet contract at the unit level: records produced by the worker
-  // handler (runNaiveScenarioRecord, one fresh record per scenario) fold
-  // through aggregateNaiveScenarioRecords into exactly the aggregate the
-  // in-process path computes — which is why `--workers N` merges are
-  // bit-identical to `--workers 0` regardless of which worker ran what.
+  // handler (runNaiveScenarioRecord, one fresh record per scenario) take
+  // the same Decode as replayed records and fold into exactly the
+  // aggregate the in-process path computes — which is why `--workers N`
+  // merges are bit-identical to `--workers 0` regardless of which worker
+  // ran what. Here the records reach the sweep through a journal.
   Program P = parseAndCheck(spProgram(4, Line));
   FtOptions Opts;
 
@@ -609,48 +617,335 @@ TEST(NaiveFleetRecords, WorkerRecordsAggregateIdenticalToInProcess) {
     RefScenarios = R.ScenariosChecked;
   }
 
-  // "Workers": one evaluator producing every record, out of order, into a
-  // key-indexed map — the shape a fleet run's Results arrive in.
+  // "Workers": one evaluator producing every record, out of order.
   NvContext Ctx(P.numNodes());
   InterpProgramEvaluator Eval(Ctx, P);
   const Value *Drop = Ctx.noneV();
   Ctx.pinValue(Drop);
   auto Scenarios = enumerateScenarios(P, Opts);
   ASSERT_EQ(Scenarios.size(), RefScenarios);
-  std::map<std::string, UnitRecord> Results;
-  for (size_t I = Scenarios.size(); I-- > 0;)
-    Results[naiveScenarioKey(I)] =
-        runNaiveScenarioRecord(P, Eval, Scenarios, I, Drop, Opts);
+  std::string Path = tmpPath("naive_worker_records");
+  std::remove(Path.c_str());
+  {
+    auto L = ResumeLog::open(Path, naiveBinding());
+    ASSERT_TRUE(L.Log) << L.Error;
+    for (size_t I = Scenarios.size(); I-- > 0;)
+      L.Log->recordDone(
+          runNaiveScenarioRecord(P, Eval, Scenarios, I, Drop, Opts));
+  }
 
-  FtCheckResult Agg;
-  ASSERT_TRUE(aggregateNaiveScenarioRecords(
-      Scenarios,
-      [&](const std::string &Key, UnitRecord &Rec) {
-        auto It = Results.find(Key);
-        if (It == Results.end())
-          return false;
-        Rec = It->second;
-        return true;
-      },
-      Agg));
-  EXPECT_EQ(Agg.ScenariosChecked, RefScenarios);
-  EXPECT_EQ(Agg.ScenariosSkipped, 0u);
-  EXPECT_TRUE(Agg.Outcome.ok()) << Agg.Outcome.str();
-  EXPECT_EQ(violationKeys(Agg), Ref);
+  for (unsigned Threads : {1u, 4u}) {
+    auto L = ResumeLog::open(Path, naiveBinding());
+    ASSERT_TRUE(L.Log) << L.Error;
+    FtOptions RunOpts = Opts;
+    RunOpts.Resume = L.Log.get();
+    ThreadPool Pool(Threads);
+    FtCheckResult Agg = naiveFaultToleranceParallel(P, RunOpts, Pool);
+    EXPECT_EQ(Agg.ScenariosChecked, RefScenarios) << Threads;
+    EXPECT_EQ(Agg.ScenariosReplayed, RefScenarios) << Threads;
+    EXPECT_EQ(Agg.ScenariosSkipped, 0u) << Threads;
+    EXPECT_TRUE(Agg.Outcome.ok()) << Agg.Outcome.str();
+    EXPECT_EQ(violationKeys(Agg), Ref) << Threads;
+    EXPECT_EQ(L.Log->entryCount(), RefScenarios) << "nothing re-ran";
+  }
+  std::remove(Path.c_str());
+}
 
-  // A missing record is a hard aggregation failure, never silence.
-  Results.erase(naiveScenarioKey(0));
-  FtCheckResult Agg2;
-  EXPECT_FALSE(aggregateNaiveScenarioRecords(
-      Scenarios,
-      [&](const std::string &Key, UnitRecord &Rec) {
-        auto It = Results.find(Key);
-        if (It == Results.end())
-          return false;
-        Rec = It->second;
-        return true;
-      },
-      Agg2));
+TEST(NaiveResume, MalformedReplayedRecordReRuns) {
+  // A journaled record that does not decode (an unknown status) is not
+  // trusted: both naive paths re-run that scenario and report its real
+  // violations instead of counting it clean.
+  Program P = parseAndCheck(spProgram(4, Line));
+  std::vector<std::tuple<std::string, uint32_t, std::string>> Ref;
+  {
+    NvContext Ctx(P.numNodes());
+    InterpProgramEvaluator Eval(Ctx, P);
+    FtCheckResult R = naiveFaultTolerance(P, Eval, FtOptions{}, Ctx.noneV());
+    Ref = violationKeys(R);
+  }
+  // Scenario 0 fails the link out of the origin: it has violations.
+  std::string S0 = enumerateScenarios(P, FtOptions{})[0].str();
+  ASSERT_TRUE(std::any_of(Ref.begin(), Ref.end(), [&](const auto &V) {
+    return std::get<0>(V) == S0;
+  }));
+
+  std::string Path = tmpPath("naive_malformed");
+  for (unsigned Threads : {0u, 1u, 4u}) { // 0: the serial entry point
+    std::remove(Path.c_str());
+    {
+      auto L = ResumeLog::open(Path, naiveBinding());
+      ASSERT_TRUE(L.Log) << L.Error;
+      UnitRecord Bogus;
+      Bogus.Key = naiveScenarioKey(0);
+      Bogus.add("status", "bogus");
+      Bogus.addInt("attempts", 1);
+      L.Log->recordDone(Bogus);
+    }
+    auto L = ResumeLog::open(Path, naiveBinding());
+    ASSERT_TRUE(L.Log) << L.Error;
+    FtOptions Opts;
+    Opts.Resume = L.Log.get();
+    FtCheckResult R;
+    NvContext Ctx(P.numNodes());
+    InterpProgramEvaluator Eval(Ctx, P);
+    ThreadPool Pool(std::max(1u, Threads));
+    if (Threads == 0)
+      R = naiveFaultTolerance(P, Eval, Opts, Ctx.noneV());
+    else
+      R = naiveFaultToleranceParallel(P, Opts, Pool);
+    EXPECT_EQ(R.ScenariosReplayed, 0u) << Threads;
+    EXPECT_EQ(R.ScenariosSkipped, 0u) << Threads;
+    EXPECT_TRUE(R.Outcome.ok()) << R.Outcome.str();
+    EXPECT_EQ(violationKeys(R), Ref) << Threads;
+  }
+  std::remove(Path.c_str());
+}
+
+//===----------------------------------------------------------------------===//
+// The unit sweep
+//===----------------------------------------------------------------------===//
+
+/// A sweep over N units whose slot is a string derived from the unit, with
+/// a Run that counts its calls; Fold concatenates the slots in fold order.
+struct CountingSweep {
+  explicit CountingSweep(size_t N) : Slots(N) {
+    U.Count = N;
+    U.Key = [](size_t I) {
+      std::string K = "u"; // not "u" + ...: GCC 12 -Wrestrict false positive
+      return K += std::to_string(I);
+    };
+    U.Worker = [this](unsigned) -> SweepRunner {
+      return [this](size_t I, const RunBudget &) { return Run(I); };
+    };
+    U.Encode = [this](size_t I, const RunOutcome &O, unsigned Attempts) {
+      UnitRecord Rec;
+      Rec.Key = U.Key(I);
+      addOutcome(Rec, O, Attempts);
+      Rec.add("value", Slots[I]);
+      return Rec;
+    };
+    U.Decode = [this](size_t I, const UnitRecord &Rec, RunOutcome &O) {
+      unsigned Attempts = 1;
+      const std::string *V = Rec.get("value");
+      if (!parseOutcome(Rec, O, Attempts) || !V)
+        return false;
+      Slots[I] = *V;
+      return true;
+    };
+    U.Fold = [this](size_t I, const RunOutcome &O, bool) {
+      Folded += std::to_string(I) + "=" + (O.ok() ? Slots[I] : O.str()) + ";";
+    };
+  }
+
+  RunOutcome Run(size_t I) {
+    ++Started;
+    Slots[I] = "v";
+    Slots[I] += std::to_string(I * I);
+    if (Hook)
+      return Hook(I);
+    return {};
+  }
+
+  SweepUnits U;
+  std::vector<std::string> Slots;
+  std::function<RunOutcome(size_t)> Hook; ///< Runs inside the unit.
+  std::atomic<unsigned> Started{0};
+  std::string Folded;
+};
+
+RunBinding sweepBinding() {
+  RunBinding B;
+  B.set("tool", "journal-tests-sweep");
+  return B;
+}
+
+std::set<std::string> journalKeys(const std::string &Path) {
+  std::set<std::string> Keys;
+  JournalRead JR = readJournal(Path);
+  EXPECT_EQ(JR.St, JournalRead::State::Ok) << JR.Error;
+  for (const std::string &E : JR.Entries) {
+    UnitRecord Rec;
+    EXPECT_TRUE(UnitRecord::parse(E, Rec));
+    Keys.insert(Rec.Key);
+  }
+  return Keys;
+}
+
+TEST(SweepTest, CancelInsideAUnitStartsNoLaterUnitSerial) {
+  std::string Path = tmpPath("sweep_cancel_serial");
+  std::remove(Path.c_str());
+  auto L = ResumeLog::open(Path, sweepBinding());
+  ASSERT_TRUE(L.Log) << L.Error;
+  CancelToken Tok;
+  CountingSweep C(10);
+  C.Hook = [&](size_t I) -> RunOutcome {
+    if (I != 3)
+      return {};
+    Tok.requestCancel(); // the run stops while unit 3 is in flight
+    return {RunStatus::Canceled, "drained", ""};
+  };
+  SweepOptions SO;
+  SO.Budget.Cancel = &Tok;
+  SO.Resume = L.Log.get();
+  SweepResult R = runSweep(C.U, SO);
+
+  EXPECT_EQ(C.Started.load(), 4u); // units 0..3, nothing after
+  EXPECT_EQ(R.Units, 10u);         // every unit is accounted for
+  EXPECT_EQ(R.Skipped, 7u);        // unit 3 and the six never started
+  EXPECT_EQ(R.Outcome.Status, RunStatus::Canceled);
+  EXPECT_EQ(R.Outcome.Detail, "drained"); // first in unit order: unit 3
+  // Canceled units are never journaled.
+  EXPECT_EQ(journalKeys(Path), (std::set<std::string>{"u0", "u1", "u2"}));
+  std::remove(Path.c_str());
+}
+
+TEST(SweepTest, CancelInsideAUnitOnAPoolDrainsOnlyUnitsInFlight) {
+  std::string Path = tmpPath("sweep_cancel_pool");
+  std::remove(Path.c_str());
+  auto L = ResumeLog::open(Path, sweepBinding());
+  ASSERT_TRUE(L.Log) << L.Error;
+  CancelToken Tok;
+  CountingSweep C(64);
+  std::atomic<int> InFlight{0}, MaxInFlight{0};
+  std::atomic<unsigned> StartedAfterCancel{0};
+  C.Hook = [&](size_t I) -> RunOutcome {
+    if (Tok.isCanceled())
+      ++StartedAfterCancel; // passed the sweep's check just before the trip
+    int Now = ++InFlight;
+    for (int M = MaxInFlight; Now > M && !MaxInFlight.compare_exchange_weak(M, Now);)
+      ;
+    if (I == 20)
+      Tok.requestCancel();
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    --InFlight;
+    return Tok.isCanceled() ? RunOutcome{RunStatus::Canceled, "drained", ""}
+                            : RunOutcome{};
+  };
+  ThreadPool Pool(4);
+  SweepOptions SO;
+  SO.Budget.Cancel = &Tok;
+  SO.Resume = L.Log.get();
+  SO.Pool = &Pool;
+  SweepResult R = runSweep(C.U, SO);
+
+  EXPECT_LE(MaxInFlight.load(), 4);
+  EXPECT_LE(StartedAfterCancel.load(), 3u); // only racing claims, no more
+  EXPECT_LT(C.Started.load(), 64u);
+  EXPECT_EQ(R.Units, 64u);
+  EXPECT_EQ(R.Outcome.Status, RunStatus::Canceled);
+  std::set<std::string> Keys = journalKeys(Path);
+  EXPECT_EQ(Keys.size(), R.Units - R.Skipped) << "only completed units";
+  EXPECT_EQ(Keys.count("u20"), 0u);
+  std::remove(Path.c_str());
+}
+
+TEST(SweepTest, MalformedReplayedRecordReRuns) {
+  std::string Path = tmpPath("sweep_malformed");
+  std::remove(Path.c_str());
+  {
+    CountingSweep C(5);
+    auto L = ResumeLog::open(Path, sweepBinding());
+    ASSERT_TRUE(L.Log) << L.Error;
+    SweepOptions SO;
+    SO.Resume = L.Log.get();
+    runSweep(C.U, SO);
+    UnitRecord Bad; // a later record for u2 without its value
+    Bad.Key = "u2";
+    Bad.add("status", "ok");
+    L.Log->recordDone(Bad);
+  }
+  auto L = ResumeLog::open(Path, sweepBinding());
+  ASSERT_TRUE(L.Log) << L.Error;
+  CountingSweep C(5);
+  SweepOptions SO;
+  SO.Resume = L.Log.get();
+  SweepResult R = runSweep(C.U, SO);
+  EXPECT_EQ(C.Started.load(), 1u); // u2 alone re-ran
+  EXPECT_EQ(R.Replayed, 4u);
+  EXPECT_EQ(C.Folded, "0=v0;1=v1;2=v4;3=v9;4=v16;");
+  std::remove(Path.c_str());
+}
+
+TEST(SweepTest, FoldIsIdenticalAcrossThreadsAndFleetRecords) {
+  const std::string Want = [] {
+    std::string W;
+    for (size_t I = 0; I < 40; ++I)
+      W += std::to_string(I) + "=v" + std::to_string(I * I) + ";";
+    return W;
+  }();
+  for (unsigned Threads : {1u, 4u}) {
+    CountingSweep C(40);
+    ThreadPool Pool(Threads);
+    SweepOptions SO;
+    SO.Pool = &Pool;
+    SweepResult R = runSweep(C.U, SO);
+    EXPECT_EQ(C.Folded, Want) << Threads;
+    EXPECT_EQ(C.Started.load(), 40u);
+    EXPECT_EQ(R.Units, 40u);
+    EXPECT_TRUE(R.Outcome.ok());
+  }
+
+  // Fleet-shaped records: what the worker half (runSweepUnit) renders,
+  // out of order, decoded the way the sweep decodes fleet and journal
+  // records alike.
+  std::string Path = tmpPath("sweep_fleet_records");
+  std::remove(Path.c_str());
+  {
+    CountingSweep Worker(40);
+    auto L = ResumeLog::open(Path, sweepBinding());
+    ASSERT_TRUE(L.Log) << L.Error;
+    SweepRunner Run = Worker.U.Worker(0);
+    for (size_t I = 40; I-- > 0;)
+      L.Log->recordDone(runSweepUnit(Worker.U, Run, I, SweepOptions{}));
+  }
+  for (unsigned Threads : {1u, 4u}) {
+    auto L = ResumeLog::open(Path, sweepBinding());
+    ASSERT_TRUE(L.Log) << L.Error;
+    CountingSweep C(40);
+    ThreadPool Pool(Threads);
+    SweepOptions SO;
+    SO.Pool = &Pool;
+    SO.Resume = L.Log.get();
+    SweepResult R = runSweep(C.U, SO);
+    EXPECT_EQ(C.Folded, Want) << Threads;
+    EXPECT_EQ(C.Started.load(), 0u);
+    EXPECT_EQ(R.Replayed, 40u);
+  }
+  std::remove(Path.c_str());
+}
+
+TEST(SweepTest, RetriesCountOnlyAttemptsSpentInThisRun) {
+  std::string Path = tmpPath("sweep_retries");
+  std::remove(Path.c_str());
+  SweepOptions SO;
+  SO.Retry.MaxAttempts = 3;
+  auto FlakyOnce = [](CountingSweep &C) {
+    auto Tries = std::make_shared<std::map<size_t, int>>();
+    C.Hook = [Tries](size_t I) -> RunOutcome {
+      if (I % 2 == 0 && (*Tries)[I]++ == 0)
+        return {RunStatus::StepBudgetExceeded, "", ""};
+      return {};
+    };
+  };
+  {
+    auto L = ResumeLog::open(Path, sweepBinding());
+    ASSERT_TRUE(L.Log) << L.Error;
+    CountingSweep C(6);
+    FlakyOnce(C);
+    SO.Resume = L.Log.get();
+    SweepResult R = runSweep(C.U, SO);
+    EXPECT_EQ(R.Retries, 3u); // units 0, 2 and 4 took two attempts
+    EXPECT_EQ(R.Skipped, 0u);
+  }
+  auto L = ResumeLog::open(Path, sweepBinding());
+  ASSERT_TRUE(L.Log) << L.Error;
+  CountingSweep C(6);
+  FlakyOnce(C);
+  SO.Resume = L.Log.get();
+  SweepResult R = runSweep(C.U, SO);
+  EXPECT_EQ(R.Replayed, 6u);
+  EXPECT_EQ(R.Retries, 0u); // spent by the earlier run, not this one
+  std::remove(Path.c_str());
 }
 
 TEST(NaiveRetry, InjectedFaultRetriedThenSucceeds) {

@@ -6,9 +6,9 @@
 # the resumed aggregate must be identical modulo the *_ms timing fields.
 # Also proves the journal failure modes (torn tail tolerated, interior
 # corruption and binding mismatch hard exit 2), retry semantics under
-# NV_FAULT_INJECT, that --json output stays valid JSON for a network
-# path with a tab in it, and that replaying tests/corpus twice under
-# --resume shows no fingerprint drift.
+# NV_FAULT_INJECT, that nv and nv-fuzz --json output stays valid JSON for
+# a network or repro path with a tab in it, and that replaying tests/corpus
+# twice under --resume shows no fingerprint drift.
 #
 # Usage: tools/ci/resume.sh [BUILD_DIR]
 set -euo pipefail
@@ -146,6 +146,14 @@ for CMD in ft naive; do
     || fail "$CMD --json on a tab-named network is not valid JSON"
 done
 echo "ok: ft and naive --json escape control characters"
+
+echo "== nv-fuzz --json stays valid JSON for a tab in a repro path =="
+"$NV_FUZZ" --count 3 --seed 7 --inject-bug-for-testing --minimize \
+  --artifact-dir "$WORK/art"$'\t'"dir\"q" --json "$WORK/fuzz-tab.json" \
+  > /dev/null || [ $? -le 1 ] || fail "nv-fuzz on a tab-named artifact dir died"
+python3 -c 'import json, sys; assert json.load(open(sys.argv[1]))["repros"]' \
+  "$WORK/fuzz-tab.json" || fail "nv-fuzz --json: no valid JSON or no repro path"
+echo "ok: nv-fuzz --json escapes repro paths"
 
 echo "== corpus replay under --resume: no fingerprint drift =="
 JC="$WORK/corpus.journal"

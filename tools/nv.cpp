@@ -351,31 +351,6 @@ int cmdVerify(const Program &P, const CliOptions &O) {
   return 4;
 }
 
-/// Opens the --resume journal when one was requested. Returns false with
-/// \p ExitCode set on failure: corruption or a binding mismatch is a user
-/// error (2) per the exit-code table — never silently reused.
-bool openResume(const CliOptions &O, const std::string &ProgramText,
-                std::unique_ptr<ResumeLog> &Log, int &ExitCode) {
-  if (O.ResumePath.empty())
-    return true;
-  ResumeLog::OpenResult R = ResumeLog::open(O.ResumePath, O.binding(ProgramText));
-  if (!R.Log) {
-    std::fprintf(stderr, "nv: %s\n", R.Error.c_str());
-    ExitCode = 2;
-    return false;
-  }
-  Log = std::move(R.Log);
-  if (Log->tornTailDropped())
-    std::fprintf(stderr,
-                 "nv: note: %s ended mid-entry (interrupted write); the "
-                 "torn entry was dropped and that unit re-runs\n",
-                 Log->path().c_str());
-  if (Log->replayedCount())
-    std::printf("resuming from %s: %zu completed unit(s) replayed\n",
-                Log->path().c_str(), Log->replayedCount());
-  return true;
-}
-
 /// Writes the ft/naive `--json` record, one field per line so CI diffs can
 /// strip exactly the *_ms timing lines. Replayed/retry counts are left out:
 /// they describe how the run was produced, not what it computed.
@@ -419,40 +394,14 @@ FtOptions ftOptionsFromCli(const CliOptions &O) {
   return Opts;
 }
 
-/// The argv a fleet re-execs to obtain a worker: the hidden `worker` verb
-/// plus exactly the flags that influence unit semantics. Thread count and
-/// journal path stay coordinator-side; budgets travel so a worker governs
-/// each unit the way the in-process path would.
-std::vector<std::string> fleetWorkerArgv(const CliOptions &O,
-                                         const char *Cmd) {
-  std::vector<std::string> A{getExecutablePath(), "worker", O.File,
-                             "--cmd",             Cmd,      "--links",
-                             std::to_string(O.Links)};
-  if (O.NodeFailure)
-    A.push_back("--node");
-  if (O.Native)
-    A.push_back("--native");
-  if (O.Retry != 1) {
-    A.push_back("--retry");
-    A.push_back(std::to_string(O.Retry));
-  }
-  if (O.DeadlineMs > 0) {
-    A.push_back("--deadline-ms");
-    A.push_back(std::to_string(O.DeadlineMs));
-  }
-  if (O.MaxSteps) {
-    A.push_back("--max-steps");
-    A.push_back(std::to_string(O.MaxSteps));
-  }
-  if (O.NodeBudget) {
-    A.push_back("--node-budget");
-    A.push_back(std::to_string(O.NodeBudget));
-  }
-  if (!std::strcmp(Cmd, "ft")) {
-    A.push_back("--chunk");
-    A.push_back(std::to_string(O.Chunk));
-  }
-  return A;
+/// The unit of fleet job \p J, keyed \p Prefix and its index below \p Count.
+size_t jobUnit(const FleetJob &J, char Prefix, size_t Count) {
+  size_t I = J.Key.size() > 1 && J.Key[0] == Prefix
+                 ? std::strtoull(J.Key.c_str() + 1, nullptr, 10)
+                 : Count;
+  if (I >= Count)
+    throw std::runtime_error("worker: bad job key '" + J.Key + "'");
+  return I;
 }
 
 /// The hidden `nv worker FILE --cmd <naive|ft>` verb: serves that
@@ -472,13 +421,8 @@ int cmdWorker(const Program &P, const CliOptions &O) {
     const Value *Drop = Ctx.noneV();
     Ctx.pinValue(Drop);
     return runFleetWorker([&](const FleetJob &J) -> UnitRecord {
-      if (J.Key.size() < 2 || J.Key[0] != 's')
-        throw std::runtime_error("naive worker: bad job key '" + J.Key + "'");
-      size_t I = std::strtoull(J.Key.c_str() + 1, nullptr, 10);
-      if (I >= Scenarios.size())
-        throw std::runtime_error("naive worker: scenario " + J.Key +
-                                 " out of range");
-      return runNaiveScenarioRecord(P, Eval, Scenarios, I, Drop, Opts);
+      return runNaiveScenarioRecord(
+          P, Eval, Scenarios, jobUnit(J, 's', Scenarios.size()), Drop, Opts);
     });
   }
 
@@ -502,16 +446,10 @@ int cmdWorker(const Program &P, const CliOptions &O) {
                                  Run.Outcome.str());
     };
     return runFleetWorker([&](const FleetJob &J) -> UnitRecord {
-      if (J.Key.size() < 2 || J.Key[0] != 'c')
-        throw std::runtime_error("ft worker: bad job key '" + J.Key + "'");
       Ensure();
       // Compiled once, under the budget.
       FtChecker &Checker = A->checker(Opts.Budget);
-      size_t C = std::strtoull(J.Key.c_str() + 1, nullptr, 10);
-      if (C >= Checker.chunks().count())
-        throw std::runtime_error("ft worker: chunk " + J.Key +
-                                 " out of range");
-      return Checker.checkChunk(C);
+      return Checker.checkChunk(jobUnit(J, 'c', Checker.chunks().count()));
     });
   }
 
@@ -520,68 +458,55 @@ int cmdWorker(const Program &P, const CliOptions &O) {
   return 2;
 }
 
-/// Shared fleet-coordinator plumbing for ft/naive: spawns the fleet over
-/// \p Jobs (units already journaled are the caller's to exclude), journals
-/// each result as it lands, and surfaces quarantines. Returns 0 to proceed
-/// with aggregation, or the exit code of a failed fleet run.
-int runUnitFleet(const CliOptions &O, const char *Cmd, ResumeLog *Log,
-                 std::vector<FleetJob> Jobs, FleetResult &FR) {
+/// The ft/naive fleet, tuned by NV_FLEET_* overrides. A worker re-execs
+/// this binary with the hidden `worker` verb for \p Cmd plus exactly the
+/// flags that influence unit semantics. Thread count and journal path stay
+/// coordinator-side; budgets travel so a worker governs each unit the way
+/// the in-process path would.
+FleetOptions fleetOptions(const CliOptions &O, const char *Cmd) {
   FleetOptions FO;
   FO.Workers = O.Workers;
-  FO.WorkerArgv = fleetWorkerArgv(O, Cmd);
-  FO.Cancel = O.Cancel;
+  FO.WorkerArgv = {getExecutablePath(), "worker", O.File, "--cmd", Cmd,
+                   "--links", std::to_string(O.Links), "--retry",
+                   std::to_string(O.Retry), "--deadline-ms",
+                   std::to_string(O.DeadlineMs), "--max-steps",
+                   std::to_string(O.MaxSteps), "--node-budget",
+                   std::to_string(O.NodeBudget), "--chunk",
+                   std::to_string(O.Chunk)};
+  if (O.NodeFailure)
+    FO.WorkerArgv.push_back("--node");
+  if (O.Native)
+    FO.WorkerArgv.push_back("--native");
   applyFleetEnvOverrides(FO);
-  FleetCallbacks CB;
-  CB.OnResult = [&](const UnitRecord &Rec) {
-    // Durable the moment it exists — a coordinator crash after this point
-    // costs nothing; the journal replays the unit on resume.
-    if (Log)
-      Log->recordDone(Rec);
-  };
-  FR = runFleet(FO, Jobs, CB);
+  return FO;
+}
+
+/// Reports a finished fleet run: its quarantined units and stats. Returns
+/// 0 to go on to the report, or the exit code of a failed fleet run.
+int reportFleet(const FleetResult &FR) {
   if (!FR.Outcome.ok()) {
     std::fprintf(stderr, "nv: fleet run failed: %s\n",
                  FR.Outcome.str().c_str());
     return exitCodeForOutcome(FR.Outcome);
   }
   for (const std::string &K : FR.QuarantinedKeys) {
-    auto It = FR.Results.find(K);
-    const std::string *Repro =
-        It == FR.Results.end() ? nullptr : It->second.get("repro");
+    const UnitRecord &Rec = FR.Results.at(K);
+    const std::string *Detail = Rec.get("detail");
+    const std::string *Repro = Rec.get("repro");
     std::printf("QUARANTINED unit %s (%s); repro: %s\n", K.c_str(),
-                It == FR.Results.end()
-                    ? "?"
-                    : It->second.get("detail")
-                          ? It->second.get("detail")->c_str()
-                          : "?",
+                Detail ? Detail->c_str() : "?",
                 Repro ? Repro->c_str() : "(none)");
   }
   std::printf("fleet: %s\n", FR.Stats.str().c_str());
   return 0;
 }
 
-/// A record lookup over a finished fleet run: fleet results first, then
-/// units replayed from the journal before the fleet launched.
-std::function<bool(const std::string &, UnitRecord &)>
-fleetLookup(const FleetResult &FR, ResumeLog *Log) {
-  return [&FR, Log](const std::string &Key, UnitRecord &Rec) {
-    auto It = FR.Results.find(Key);
-    if (It != FR.Results.end()) {
-      Rec = It->second;
-      return true;
-    }
-    return Log && Log->replay(Key, Rec);
-  };
-}
-
 int cmdNaive(const Program &P, const CliOptions &O) {
   FtOptions Opts = ftOptionsFromCli(O);
 
-  std::string Text = printProgram(P);
   std::unique_ptr<ResumeLog> Log;
-  int Ec = 0;
-  if (!openResume(O, Text, Log, Ec))
-    return Ec;
+  if (!openCliResume("nv", O.ResumePath, O.binding(printProgram(P)), Log))
+    return 2;
   Opts.Resume = Log.get();
 
   Stopwatch W;
@@ -589,27 +514,11 @@ int cmdNaive(const Program &P, const CliOptions &O) {
   if (O.Workers > 0) {
     // Fleet mode: scenarios run in crash-isolated worker subprocesses.
     // Workers return the same UnitRecords the in-process path journals, so
-    // the aggregate below is bit-identical to --workers 0.
-    auto Scenarios = enumerateScenarios(P, Opts);
-    std::vector<FleetJob> Jobs;
-    size_t Replayed = 0;
-    for (size_t I = 0; I < Scenarios.size(); ++I) {
-      std::string Key = naiveScenarioKey(I);
-      if (Log && Log->isDone(Key))
-        ++Replayed;
-      else
-        Jobs.push_back({Key, ""});
-    }
+    // the aggregate is bit-identical to --workers 0.
     FleetResult FR;
-    if (int FleetEc = runUnitFleet(O, "naive", Log.get(), std::move(Jobs), FR))
+    R = naiveFaultToleranceOnFleet(P, Opts, fleetOptions(O, "naive"), FR);
+    if (int FleetEc = reportFleet(FR))
       return FleetEc;
-    if (!aggregateNaiveScenarioRecords(Scenarios, fleetLookup(FR, Log.get()),
-                                       R)) {
-      std::fprintf(stderr, "nv: fleet aggregate is missing scenario "
-                           "records\n");
-      return 4;
-    }
-    R.ScenariosReplayed = Replayed;
   } else {
     ThreadPool Pool(O.Threads);
     R = naiveFaultToleranceParallel(P, Opts, Pool);
@@ -832,9 +741,8 @@ int cmdFt(const Program &P, const CliOptions &O) {
   FtOptions Opts = ftOptionsFromCli(O);
   Opts.Threads = O.Threads;
   std::unique_ptr<ResumeLog> Log;
-  int Ec = 0;
-  if (!openResume(O, printProgram(P), Log, Ec))
-    return Ec;
+  if (!openCliResume("nv", O.ResumePath, O.binding(printProgram(P)), Log))
+    return 2;
   Opts.Resume = Log.get();
 
   FtRunResult R;
@@ -848,26 +756,10 @@ int cmdFt(const Program &P, const CliOptions &O) {
                                           Diags);
     if (R.Outcome.ok() && R.Converged) {
       Stopwatch CW;
-      auto Scenarios = enumerateScenarios(P, Opts);
-      FtChunks Chunks(Scenarios.size(), Opts.CheckChunkSize);
-      std::vector<FleetJob> Jobs;
-      size_t Replayed = 0;
-      for (size_t C = 0; C < Chunks.count(); ++C) {
-        if (Log && Log->isDone(FtChunks::key(C)))
-          Replayed += Chunks.size(C);
-        else
-          Jobs.push_back({FtChunks::key(C), ""});
-      }
       FleetResult FR;
-      if (int FleetEc = runUnitFleet(O, "ft", Log.get(), std::move(Jobs), FR))
+      R.Check = checkFaultToleranceOnFleet(P, Opts, fleetOptions(O, "ft"), FR);
+      if (int FleetEc = reportFleet(FR))
         return FleetEc;
-      if (!aggregateFtChunkRecords(Scenarios, Opts.CheckChunkSize,
-                                   fleetLookup(FR, Log.get()), R.Check)) {
-        std::fprintf(stderr,
-                     "nv: fleet aggregate is missing chunk records\n");
-        return 4;
-      }
-      R.Check.ScenariosReplayed = Replayed;
       R.CheckMs = CW.elapsedMs();
     }
   } else {

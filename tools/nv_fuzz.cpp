@@ -57,10 +57,12 @@
 #include "fuzz/Minimize.h"
 #include "fuzz/Oracle.h"
 #include "fuzz/Rng.h"
+#include "serve/Json.h"
 #include "support/Fleet.h"
 #include "support/Governor.h"
 #include "support/Resume.h"
 #include "support/Subprocess.h"
+#include "support/Sweep.h"
 #include "support/Timer.h"
 
 #include <cstdio>
@@ -68,6 +70,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 
 using namespace nv;
@@ -107,91 +110,56 @@ struct FuzzCli {
 std::optional<FuzzCli> parseCli(int argc, char **argv) {
   FuzzCli O;
   for (int I = 1; I < argc; ++I) {
-    auto Arg = [&](const char *Name) { return !std::strcmp(argv[I], Name); };
-    auto Next = [&]() -> const char * {
-      return I + 1 < argc ? argv[++I] : nullptr;
-    };
-    if (Arg("--seed")) {
-      const char *V = Next();
-      if (!V)
-        return std::nullopt;
-      O.Seed = std::strtoull(V, nullptr, 0);
-    } else if (Arg("--count")) {
-      const char *V = Next();
-      if (!V)
-        return std::nullopt;
-      O.Count = std::strtoull(V, nullptr, 0);
-    } else if (Arg("--start")) {
-      // First instance index; lets nightly shards cover disjoint ranges
-      // of the same base seed.
-      const char *V = Next();
-      if (!V)
-        return std::nullopt;
-      O.Start = std::strtoull(V, nullptr, 0);
-    } else if (Arg("--time-budget")) {
-      const char *V = Next();
-      if (!V)
-        return std::nullopt;
-      O.TimeBudgetSec = static_cast<unsigned>(std::atoi(V));
-    } else if (Arg("--threads")) {
-      const char *V = Next();
-      if (!V)
-        return std::nullopt;
-      O.Oracle.Threads = static_cast<unsigned>(std::atoi(V));
-    } else if (Arg("--minimize")) {
+    std::string A = argv[I];
+    if (A == "--minimize") {
       O.Minimize = true;
-    } else if (Arg("--corpus-dir") || Arg("--artifact-dir")) {
-      const char *V = Next();
-      if (!V)
-        return std::nullopt;
-      O.ArtifactDir = V;
-    } else if (Arg("--resume")) {
-      const char *V = Next();
-      if (!V)
-        return std::nullopt;
-      O.ResumePath = V;
-    } else if (Arg("--retry")) {
-      const char *V = Next();
-      if (!V)
-        return std::nullopt;
-      O.Retry = static_cast<unsigned>(std::atoi(V));
-    } else if (Arg("--workers")) {
-      const char *V = Next();
-      if (!V)
-        return std::nullopt;
-      O.Workers = static_cast<unsigned>(std::atoi(V));
-    } else if (Arg("--fleet-worker")) {
+    } else if (A == "--fleet-worker") {
       // Undocumented: the fleet coordinator re-execs this binary with the
       // flag to obtain workers (job pipe fd 3, result pipe fd 4).
       O.FleetWorker = true;
-    } else if (Arg("--replay")) {
-      const char *V = Next();
-      if (!V)
-        return std::nullopt;
-      O.ReplayPath = V;
-    } else if (Arg("--emit")) {
-      const char *V = Next();
-      if (!V)
-        return std::nullopt;
-      O.Emit = true;
-      O.EmitSeed = std::strtoull(V, nullptr, 0);
-    } else if (Arg("--json")) {
-      const char *V = Next();
-      if (!V)
-        return std::nullopt;
-      O.JsonPath = V;
-    } else if (Arg("--no-smt")) {
+    } else if (A == "--no-smt") {
       O.Oracle.EnableSmt = false;
-    } else if (Arg("--no-ft")) {
+    } else if (A == "--no-ft") {
       O.Oracle.EnableFt = false;
-    } else if (Arg("--no-naive")) {
+    } else if (A == "--no-naive") {
       O.Oracle.EnableNaive = false;
-    } else if (Arg("--inject-bug-for-testing")) {
+    } else if (A == "--inject-bug-for-testing") {
       // Undocumented: plants the deliberate engine bug the self-tests use
       // to prove the oracle catches and the minimizer shrinks divergences.
       O.Oracle.InjectBugForTesting = true;
     } else {
-      return std::nullopt;
+      // Every other option takes a value.
+      if (I + 1 >= argc)
+        return std::nullopt;
+      const char *V = argv[++I];
+      uint64_t N = std::strtoull(V, nullptr, 0);
+      auto Small = static_cast<unsigned>(std::atoi(V));
+      if (A == "--seed")
+        O.Seed = N;
+      else if (A == "--count")
+        O.Count = N;
+      else if (A == "--start") // first instance index: lets nightly shards
+        O.Start = N;           // cover disjoint ranges of one base seed
+      else if (A == "--time-budget")
+        O.TimeBudgetSec = Small;
+      else if (A == "--threads")
+        O.Oracle.Threads = Small;
+      else if (A == "--corpus-dir" || A == "--artifact-dir")
+        O.ArtifactDir = V;
+      else if (A == "--resume")
+        O.ResumePath = V;
+      else if (A == "--retry")
+        O.Retry = Small;
+      else if (A == "--workers")
+        O.Workers = Small;
+      else if (A == "--replay")
+        O.ReplayPath = V;
+      else if (A == "--emit")
+        O.Emit = true, O.EmitSeed = N;
+      else if (A == "--json")
+        O.JsonPath = V;
+      else
+        return std::nullopt;
     }
   }
   if (std::getenv("NV_FUZZ_INJECT_BUG"))
@@ -209,13 +177,15 @@ struct RunTally {
   std::vector<std::string> ReproFiles;
 };
 
-/// What one completed instance contributed — exactly the facts the
-/// checkpoint journal needs to replay it without re-running any engine.
+/// What one instance contributed — exactly the facts the checkpoint
+/// journal needs to replay it without re-running any engine.
 struct InstanceResult {
+  std::string Name;
+  bool GenError = false; ///< The generator failed: counted, never journaled.
   bool Diverged = false;
   bool Skipped = false;
   uint64_t Legs = 0;
-  unsigned Attempts = 1;
+  unsigned Attempts = 0;
   std::string ReproFile;
 };
 
@@ -252,36 +222,13 @@ RunBinding fuzzBinding(const FuzzCli &Cli, const char *Mode) {
   return B;
 }
 
-bool openFuzzResume(const FuzzCli &Cli, const char *Mode,
-                    std::unique_ptr<ResumeLog> &Log, int &ExitCode) {
-  if (Cli.ResumePath.empty())
-    return true;
-  ResumeLog::OpenResult R =
-      ResumeLog::open(Cli.ResumePath, fuzzBinding(Cli, Mode));
-  if (!R.Log) {
-    std::fprintf(stderr, "nv-fuzz: %s\n", R.Error.c_str());
-    ExitCode = 2;
-    return false;
-  }
-  Log = std::move(R.Log);
-  if (Log->tornTailDropped())
-    std::fprintf(stderr,
-                 "nv-fuzz: note: dropped a torn trailing journal entry "
-                 "(interrupted mid-write); that instance will re-run\n");
-  if (Log->replayedCount())
-    std::printf("resuming from %s: %zu completed instance(s) replayed\n",
-                Log->path().c_str(), Log->replayedCount());
-  return true;
-}
-
 /// The canonical instance record — what the campaign journals and what a
 /// fleet worker sends back over the result pipe (same shape, so fleet and
 /// in-process journals are interchangeable).
-UnitRecord makeInstanceRecord(const std::string &Key, const std::string &Name,
-                              const InstanceResult &R) {
+UnitRecord makeInstanceRecord(const std::string &Key, const InstanceResult &R) {
   UnitRecord Rec;
   Rec.Key = Key;
-  Rec.add("name", Name);
+  Rec.add("name", R.Name);
   Rec.addInt("div", R.Diverged ? 1 : 0);
   Rec.addInt("skip", R.Skipped ? 1 : 0);
   Rec.addInt("legs", static_cast<long long>(R.Legs));
@@ -291,84 +238,80 @@ UnitRecord makeInstanceRecord(const std::string &Key, const std::string &Name,
   return Rec;
 }
 
-void recordInstance(ResumeLog &Log, const std::string &Key,
-                    const std::string &Name, const InstanceResult &R) {
-  Log.recordDone(makeInstanceRecord(Key, Name, R));
-}
-
-/// Applies a journaled instance record to the tally as if the instance
-/// had just run. Returns false if the record lacks the expected fields
-/// (version drift) — the caller then re-runs the instance.
-bool replayInstance(const UnitRecord &Rec, RunTally &T) {
-  const std::string *Legs = Rec.get("legs");
-  const std::string *Div = Rec.get("div");
-  if (!Legs || !Div)
-    return false;
-  ++T.Instances;
-  ++T.Replayed;
-  T.LegRuns += std::strtoull(Legs->c_str(), nullptr, 10);
-  if (const std::string *S = Rec.get("skip"); S && *S == "1")
-    ++T.Skipped;
-  if (*Div == "1") {
-    ++T.Divergences;
+/// Restores an instance from a journaled or fleet record. A fleet worker's
+/// generator error and a quarantined instance (the fleet's record carries
+/// its status) come back too; the latter is journaled as a durable skip.
+/// Returns false if the record lacks the expected fields (version drift)
+/// — the instance then re-runs.
+bool decodeInstance(const UnitRecord &Rec, InstanceResult &Out,
+                    RunOutcome &O) {
+  InstanceResult R;
+  if (Rec.get("gen_error")) {
+    R.GenError = true;
+  } else if (Rec.get("status")) {
+    if (!parseOutcome(Rec, O, R.Attempts))
+      return false;
+    R.Name = Rec.Key;
+    R.Skipped = true;
+  } else {
+    auto Num = [&](const char *K, uint64_t Default) {
+      const std::string *V = Rec.get(K);
+      return V ? std::strtoull(V->c_str(), nullptr, 10) : Default;
+    };
     const std::string *Name = Rec.get("name");
-    std::printf("DIVERGENCE %s (replayed from journal)\n",
-                Name ? Name->c_str() : Rec.Key.c_str());
+    if (!Rec.get("legs") || !Rec.get("div"))
+      return false;
+    R.Name = Name ? *Name : Rec.Key;
+    R.Diverged = Num("div", 0) == 1;
+    R.Skipped = Num("skip", 0) == 1;
+    R.Legs = Num("legs", 0);
+    R.Attempts = unsigned(Num("attempts", 1));
   }
   if (const std::string *Repro = Rec.get("repro"))
-    T.ReproFiles.push_back(*Repro);
+    R.ReproFile = *Repro;
+  Out = std::move(R);
   return true;
 }
 
-/// Runs one instance through the oracle; on divergence optionally
-/// minimizes and writes a corpus repro under the artifact directory.
-/// An EngineError with a transient resource-limit outcome that escapes
-/// the oracle's per-leg catches is retried up to --retry times; when the
-/// retries are exhausted the instance is recorded as skipped (so a
-/// persistently flaky unit cannot kill a long campaign). Returns false
-/// on divergence.
-bool runOne(const FuzzInstance &Inst, const FuzzCli &Cli, RunTally &T,
-            InstanceResult &R) {
+/// One attempt at \p Inst: runs it through the oracle into \p R and, on
+/// divergence, optionally minimizes it and writes a corpus repro under the
+/// artifact directory. With --retry, an EngineError with a transient
+/// outcome that escapes the oracle's per-leg catches is the attempt's
+/// outcome: the sweep retries it, and the last attempt records the
+/// instance as skipped (so a persistently flaky unit cannot kill a long
+/// campaign). Without --retry it propagates and ends the run structurally.
+RunOutcome runInstance(const FuzzInstance &Inst, const FuzzCli &Cli,
+                       InstanceResult &R) {
+  unsigned Attempt = R.Attempts + 1;
+  R = InstanceResult();
+  R.Name = Inst.Name;
+  R.Attempts = Attempt;
   DiagnosticEngine Diags;
   OracleVerdict V;
-  unsigned MaxAttempts = Cli.Retry ? Cli.Retry : 1;
-  for (unsigned Attempt = 1;; ++Attempt) {
-    R.Attempts = Attempt;
-    try {
-      V = runOracle(Inst, Cli.Oracle, Diags);
-      break;
-    } catch (const EngineError &E) {
-      if (!isTransientOutcome(E.outcome()))
-        throw;
-      if (Attempt < MaxAttempts) {
-        ++T.Retries;
-        continue;
-      }
-      if (MaxAttempts > 1) {
-        // Retries exhausted on a transient failure: record durably as
-        // skipped and let the campaign continue.
-        R.Skipped = true;
-        ++T.Instances;
-        ++T.Skipped;
-        std::printf("SKIP %s after %u attempt(s): %s\n", Inst.Name.c_str(),
-                    Attempt, E.what());
-        return true;
-      }
-      throw; // retry disabled: preserve the structural-exit behavior
+  try {
+    V = runOracle(Inst, Cli.Oracle, Diags);
+  } catch (const EngineError &E) {
+    if (Cli.Retry <= 1 || !isTransientOutcome(E.outcome()))
+      throw;
+    if (Attempt >= Cli.Retry) {
+      R.Skipped = true;
+      std::printf("SKIP %s after %u attempt(s): %s\n", Inst.Name.c_str(),
+                  Attempt, E.what());
     }
+    return E.outcome();
   }
-  ++T.Instances;
-  T.LegRuns += V.Runs.size();
+  if (Cli.Oracle.Cancel && Cli.Oracle.Cancel->isCanceled())
+    // Legs drained via cancellation: not a completed unit.
+    return {RunStatus::Canceled, "instance drained by cancellation", ""};
   R.Legs = V.Runs.size();
   if (V.Ok)
-    return true;
+    return {};
 
-  ++T.Divergences;
   R.Diverged = true;
   std::printf("DIVERGENCE %s\n  %s\n", Inst.Name.c_str(),
               V.Mismatch.c_str());
   if (!Cli.Minimize)
-    return false;
+    return {};
 
   MinimizeResult M = minimizeSpec(Inst.Spec, Cli.Oracle);
   std::printf("  minimized: n=%u e=%zu after %u oracle runs, %u moves\n",
@@ -384,14 +327,31 @@ bool runOne(const FuzzInstance &Inst, const FuzzCli &Cli, RunTally &T,
   std::ofstream Out(Path);
   if (!Out) {
     std::fprintf(stderr, "cannot write %s\n", Path.c_str());
-    return false;
+    return {};
   }
   Out << corpusFileText(M.Instance, "minimized repro; diverged: " +
                                         M.Verdict.Mismatch.substr(0, 200));
   std::printf("  wrote %s\n", Path.c_str());
-  T.ReproFiles.push_back(Path);
   R.ReproFile = Path;
-  return false;
+  return {};
+}
+
+/// A corpus file that cannot be loaded ends the replay with exit 2.
+struct CorpusLoadError {};
+
+/// One attempt at the generated instance of \p Seed. A generator error is
+/// printed and counted but never journaled: generation is deterministic,
+/// so a resumed run reproduces (and re-counts) it.
+RunOutcome runSeed(uint64_t Seed, const FuzzCli &Cli, InstanceResult &R) {
+  DiagnosticEngine Diags;
+  FuzzInstance Inst = instanceFromSeed(Seed, Diags);
+  if (!Inst.NvSource.empty())
+    return runInstance(Inst, Cli, R);
+  std::printf("GENERATOR ERROR seed=0x%016llx:\n%s",
+              static_cast<unsigned long long>(Seed), Diags.str().c_str());
+  R = InstanceResult();
+  R.GenError = true;
+  return {};
 }
 
 bool writeJson(const std::string &Path, const RunTally &T, double Ms) {
@@ -402,229 +362,166 @@ bool writeJson(const std::string &Path, const RunTally &T, double Ms) {
   }
   // No "replayed"/"retries" fields: a resumed run's summary must be
   // byte-identical to an uninterrupted one (modulo the _ms timing field).
+  // One field per line, so CI diffs can strip exactly that line.
   Out << "{\n  \"instances\": " << T.Instances
       << ",\n  \"divergences\": " << T.Divergences
       << ",\n  \"engine_runs\": " << T.LegRuns
       << ",\n  \"skipped\": " << T.Skipped << ",\n  \"elapsed_ms\": "
       << static_cast<uint64_t>(Ms) << ",\n  \"repros\": [";
   for (size_t I = 0; I < T.ReproFiles.size(); ++I)
-    Out << (I ? ", " : "") << '"' << T.ReproFiles[I] << '"';
+    Out << (I ? ", " : "") << Json(T.ReproFiles[I]).dump();
   Out << "]\n}\n";
   return true;
 }
 
-//===----------------------------------------------------------------------===//
-// Campaign worker fleet (--workers N / hidden --fleet-worker)
-//===----------------------------------------------------------------------===//
+SweepOptions sweepOptions(const FuzzCli &Cli, ResumeLog *Log) {
+  return {.Budget = {.Cancel = Cli.Oracle.Cancel},
+          .Retry = {.MaxAttempts = Cli.Retry},
+          .Resume = Log};
+}
 
-/// The worker half: each job's spec is the instance seed in hex (keys stay
-/// "i<I>", but the seed travels so the worker needs no --seed/--start
-/// flags). Handler exceptions — an EngineError escaping the oracle's
-/// per-leg catches — kill the worker on purpose: the coordinator requeues
-/// the instance and, if it keeps killing workers, quarantines it with a
-/// repro script instead of ending the campaign.
+/// The worker half of a fleet campaign (hidden --fleet-worker): each job's
+/// spec is the instance seed (keys stay "i<I>", but the seed travels
+/// so the worker needs no --seed/--start flags). Handler exceptions — an
+/// EngineError escaping the oracle's per-leg catches — kill the worker on
+/// purpose: the coordinator requeues the instance and, if it keeps killing
+/// workers, quarantines it with a repro script instead of ending the
+/// campaign.
 int fuzzFleetWorker(const FuzzCli &Cli) {
   return runFleetWorker([&](const FleetJob &J) -> UnitRecord {
-    uint64_t Seed = std::strtoull(J.Spec.c_str(), nullptr, 16);
-    DiagnosticEngine Diags;
-    FuzzInstance Inst = instanceFromSeed(Seed, Diags);
-    if (Inst.NvSource.empty()) {
-      // Mirror the in-process campaign: print the generator error, count
-      // it as a divergence at the coordinator, and do NOT journal it
-      // (generation is deterministic, so a resumed run re-counts it).
-      std::printf("GENERATOR ERROR seed=0x%016llx:\n%s",
-                  static_cast<unsigned long long>(Seed), Diags.str().c_str());
-      UnitRecord Rec;
-      Rec.Key = J.Key;
-      Rec.addInt("gen_error", 1);
-      return Rec;
-    }
-    RunTally T; // worker-local; the coordinator tallies from the record
+    uint64_t Seed = std::strtoull(J.Spec.c_str(), nullptr, 10);
     InstanceResult R;
-    runOne(Inst, Cli, T, R);
-    return makeInstanceRecord(J.Key, Inst.Name, R);
+    SweepUnits U;
+    U.Encode = [&](size_t, const RunOutcome &, unsigned) {
+      if (R.GenError) // counted at the coordinator, never journaled
+        return UnitRecord{J.Key, {{"gen_error", "1"}}};
+      return makeInstanceRecord(J.Key, R);
+    };
+    return runSweepUnit(
+        U, [&](size_t, const RunBudget &) { return runSeed(Seed, Cli, R); },
+        0, sweepOptions(Cli, nullptr));
   });
 }
 
-/// The coordinator half of a fleet campaign: jobs are generated lazily
-/// (so --time-budget works — the source dries up when the clock runs
-/// out), journal-replayed instances are skipped at generation time, and
-/// results are tallied and journaled as they land. Worker stdout is
-/// inherited, so DIVERGENCE/SKIP/minimizer lines print exactly as they
-/// do in-process (interleaved across workers).
-int campaignFleet(FuzzCli &Cli, ResumeLog *Log, CancelToken &Cancel,
-                  RunTally &T, Stopwatch &W) {
+/// The campaign's fleet: this binary's hidden worker mode with the flags
+/// that decide per-instance verdicts.
+FleetOptions fuzzFleetOptions(const FuzzCli &Cli) {
   FleetOptions FO;
   FO.Workers = Cli.Workers;
-  FO.WorkerArgv = {getExecutablePath(), "--fleet-worker"};
-  if (Cli.Oracle.Threads != 1) {
-    FO.WorkerArgv.push_back("--threads");
-    FO.WorkerArgv.push_back(std::to_string(Cli.Oracle.Threads));
-  }
+  std::vector<std::string> &A = FO.WorkerArgv;
+  A = {getExecutablePath(), "--fleet-worker", "--threads",
+       std::to_string(Cli.Oracle.Threads), "--retry", std::to_string(Cli.Retry),
+       "--artifact-dir", Cli.ArtifactDir};
   if (!Cli.Oracle.EnableSmt)
-    FO.WorkerArgv.push_back("--no-smt");
+    A.push_back("--no-smt");
   if (!Cli.Oracle.EnableFt)
-    FO.WorkerArgv.push_back("--no-ft");
+    A.push_back("--no-ft");
   if (!Cli.Oracle.EnableNaive)
-    FO.WorkerArgv.push_back("--no-naive");
+    A.push_back("--no-naive");
   if (Cli.Oracle.InjectBugForTesting)
-    FO.WorkerArgv.push_back("--inject-bug-for-testing");
+    A.push_back("--inject-bug-for-testing");
   if (Cli.Minimize)
-    FO.WorkerArgv.push_back("--minimize");
-  if (Cli.Retry != 1) {
-    FO.WorkerArgv.push_back("--retry");
-    FO.WorkerArgv.push_back(std::to_string(Cli.Retry));
-  }
-  FO.WorkerArgv.push_back("--artifact-dir");
-  FO.WorkerArgv.push_back(Cli.ArtifactDir);
+    A.push_back("--minimize");
   FO.QuarantineDir = Cli.ArtifactDir; // repro scripts live with the corpus
-  FO.Cancel = &Cancel;
   applyFleetEnvOverrides(FO);
-
-  uint64_t I = Cli.Start;
-  auto Next = [&](FleetJob &J) {
-    for (;;) {
-      if (Cli.TimeBudgetSec) {
-        if (W.elapsedMs() >= Cli.TimeBudgetSec * 1000.0)
-          return false;
-      } else if (I >= Cli.Start + Cli.Count) {
-        return false;
-      }
-      uint64_t Idx = I++;
-      std::string Key = "i";
-      Key += std::to_string(Idx);
-      if (Log) {
-        UnitRecord Rec;
-        if (Log->replay(Key, Rec) && replayInstance(Rec, T))
-          continue; // already done in a previous run
-      }
-      char Hex[32];
-      std::snprintf(Hex, sizeof(Hex), "%016llx",
-                    static_cast<unsigned long long>(mixSeed(Cli.Seed, Idx)));
-      J = {Key, Hex};
-      return true;
-    }
-  };
-
-  FleetCallbacks CB;
-  CB.OnResult = [&](const UnitRecord &Rec) {
-    if (Rec.get("gen_error")) {
-      ++T.Divergences; // counted, never journaled (see fuzzFleetWorker)
-      return;
-    }
-    RunOutcome O;
-    unsigned Attempts = 1;
-    if (parseOutcome(Rec, O, Attempts) && !O.ok()) {
-      // A quarantined instance: journal it as a durable skip (plus the
-      // repro script path), so any resume — fleet or in-process — replays
-      // it as skipped instead of re-running the crasher.
-      ++T.Instances;
-      ++T.Skipped;
-      InstanceResult R;
-      R.Skipped = true;
-      R.Attempts = Attempts;
-      if (const std::string *Repro = Rec.get("repro")) {
-        R.ReproFile = *Repro;
-        T.ReproFiles.push_back(*Repro);
-      }
-      std::printf("SKIP %s: %s\n", Rec.Key.c_str(), O.str().c_str());
-      if (Log)
-        recordInstance(*Log, Rec.Key, Rec.Key, R);
-      return;
-    }
-    // A normal instance record: tally exactly what replayInstance would,
-    // minus the replayed count (the worker already printed any
-    // DIVERGENCE/SKIP lines to the shared stdout).
-    ++T.Instances;
-    if (const std::string *S = Rec.get("skip"); S && *S == "1")
-      ++T.Skipped;
-    if (const std::string *Legs = Rec.get("legs"))
-      T.LegRuns += std::strtoull(Legs->c_str(), nullptr, 10);
-    if (const std::string *Div = Rec.get("div"); Div && *Div == "1")
-      ++T.Divergences;
-    if (const std::string *Repro = Rec.get("repro"))
-      T.ReproFiles.push_back(*Repro);
-    if (const std::string *A = Rec.get("attempts"))
-      if (unsigned N = unsigned(std::strtoul(A->c_str(), nullptr, 10)); N > 1)
-        T.Retries += N - 1;
-    if (Log)
-      Log->recordDone(Rec);
-  };
-
-  FleetResult FR = runFleetDynamic(FO, Next, CB);
-  if (!FR.Outcome.ok() && FR.Outcome.Status != RunStatus::Canceled) {
-    std::fprintf(stderr, "nv-fuzz: fleet run failed: %s\n",
-                 FR.Outcome.str().c_str());
-    return exitCodeForOutcome(FR.Outcome);
-  }
-  std::printf("fleet: %s\n", FR.Stats.str().c_str());
-  return 0; // fuzzMain prints the summary and derives the exit code
+  return FO;
 }
 
-int replay(FuzzCli &Cli) {
-  std::vector<std::string> Files;
-  if (std::filesystem::is_directory(Cli.ReplayPath))
-    Files = listCorpusFiles(Cli.ReplayPath);
+/// The campaign (instance Start+I is unit I, generated from its seed) or
+/// the corpus replay (unit I is Files[I], keyed by its path), as one sweep
+/// whose slots are InstanceResults, tallied into \p T in unit order. With
+/// --workers the campaign's jobs are pulled lazily, so --time-budget works
+/// there too, and worker stdout is inherited, so DIVERGENCE/SKIP/minimizer
+/// lines print exactly as they do in process. Returns 0, or the exit code
+/// that ends the run early.
+int sweepInstances(const FuzzCli &Cli, const std::vector<std::string> &Files,
+                   ResumeLog *Log, const Stopwatch &W, RunTally &T) {
+  bool Replay = !Cli.ReplayPath.empty();
+  auto Seed = [&](size_t I) { return mixSeed(Cli.Seed, Cli.Start + I); };
+  std::map<size_t, InstanceResult> Slots;
+  SweepUnits U;
+  if (Replay)
+    U.Count = Files.size();
+  else if (Cli.TimeBudgetSec)
+    U.More = [&](size_t) {
+      return W.elapsedMs() < Cli.TimeBudgetSec * 1000.0;
+    };
   else
-    Files.push_back(Cli.ReplayPath);
-  if (Files.empty()) {
-    std::fprintf(stderr, "no corpus files under %s\n",
-                 Cli.ReplayPath.c_str());
-    return 2;
-  }
-
-  std::unique_ptr<ResumeLog> Log;
-  int Ec = 0;
-  if (!openFuzzResume(Cli, "replay", Log, Ec))
-    return Ec;
-
-  CancelToken Cancel;
-  GracefulShutdown Shutdown(Cancel);
-  Cli.Oracle.Cancel = &Cancel;
-
-  RunTally T;
-  Stopwatch W;
-  bool AllOk = true;
-  for (const std::string &F : Files) {
-    if (Cancel.isCanceled())
-      break;
-    if (Log) {
-      // Journal key for replay mode is the corpus file path itself.
-      UnitRecord Rec;
-      if (Log->replay(F, Rec) && replayInstance(Rec, T)) {
-        const std::string *Div = Rec.get("div");
-        bool Ok = !Div || *Div != "1";
-        std::printf("%-60s %s\n", F.c_str(),
-                    Ok ? "ok (journal)" : "DIVERGED (journal)");
-        AllOk = AllOk && Ok;
-        continue;
-      }
+    U.Count = Cli.Count;
+  U.Key = [&](size_t I) {
+    std::string K = "i";
+    return Replay ? Files[I] : K += std::to_string(Cli.Start + I);
+  };
+  U.Spec = [&](size_t I) { return std::to_string(Seed(I)); };
+  U.Worker = [&](unsigned) -> SweepRunner {
+    return [&](size_t I, const RunBudget &) {
+      if (!Replay)
+        return runSeed(Seed(I), Cli, Slots[I]);
+      auto Inst = loadCorpusFile(Files[I]);
+      if (!Inst)
+        throw CorpusLoadError();
+      return runInstance(*Inst, Cli, Slots[I]);
+    };
+  };
+  U.Encode = [&](size_t I, const RunOutcome &, unsigned) {
+    const InstanceResult &R = Slots[I];
+    return R.GenError ? UnitRecord() : makeInstanceRecord(U.Key(I), R);
+  };
+  U.Decode = [&](size_t I, const UnitRecord &Rec, RunOutcome &O) {
+    return decodeInstance(Rec, Slots[I], O);
+  };
+  U.Fold = [&](size_t I, const RunOutcome &O, bool Replayed) {
+    InstanceResult R = std::move(Slots[I]);
+    Slots.erase(I);
+    if (R.GenError) {
+      ++T.Divergences;
+      return;
     }
-    auto Inst = loadCorpusFile(F);
-    if (!Inst)
-      return 2;
-    InstanceResult R;
-    bool Ok = runOne(*Inst, Cli, T, R);
-    if (Cancel.isCanceled())
-      break; // legs drained via cancellation: not a completed unit
-    if (Log)
-      recordInstance(*Log, F, Inst->Name, R);
-    std::printf("%-60s %s\n", F.c_str(), Ok ? "ok" : "DIVERGED");
-    AllOk = AllOk && Ok;
+    ++T.Instances;
+    T.Skipped += R.Skipped || !O.ok();
+    T.LegRuns += R.Legs;
+    T.Divergences += R.Diverged;
+    if (R.Diverged && Replayed)
+      std::printf("DIVERGENCE %s (replayed from journal)\n", R.Name.c_str());
+    if (!R.ReproFile.empty())
+      T.ReproFiles.push_back(R.ReproFile);
+    if (O.Status == RunStatus::Quarantined && !Replayed)
+      std::printf("SKIP %s: %s\n", R.Name.c_str(), O.str().c_str());
+    if (O.Status == RunStatus::Canceled)
+      return;
+    if (Replay)
+      std::printf("%-60s %s%s\n", Files[I].c_str(),
+                  R.Diverged ? "DIVERGED" : "ok", Replayed ? " (journal)" : "");
+    else if (!Cli.Workers && !Replayed && (Cli.Start + I + 1) % 100 == 0)
+      std::printf("[%llu] %llu instances, %llu divergences, %.1fs\n",
+                  static_cast<unsigned long long>(Cli.Start + I + 1),
+                  static_cast<unsigned long long>(T.Instances),
+                  static_cast<unsigned long long>(T.Divergences),
+                  W.elapsedMs() / 1000.0);
+  };
+  SweepOptions SO = sweepOptions(Cli, Log);
+  FleetOptions FO;
+  if (Cli.Workers && !Replay) {
+    FO = fuzzFleetOptions(Cli);
+    SO.Fleet = &FO;
   }
-  std::printf("replayed %llu corpus instances, %llu divergences\n",
-              static_cast<unsigned long long>(T.Instances),
-              static_cast<unsigned long long>(T.Divergences));
-  if (!Cli.JsonPath.empty() && !writeJson(Cli.JsonPath, T, W.elapsedMs()))
+  SweepResult S;
+  try {
+    S = runSweep(U, SO);
+  } catch (const CorpusLoadError &) {
     return 2;
-  if (Shutdown.triggered()) {
-    std::fprintf(stderr,
-                 "nv-fuzz: replay interrupted; %zu completed instance(s) "
-                 "journaled\n",
-                 Log ? Log->entryCount() : size_t(0));
-    return 3;
   }
-  return AllOk ? 0 : 1;
+  T.Replayed = S.Replayed;
+  T.Retries = S.Retries;
+  if (!SO.Fleet)
+    return 0;
+  if (!S.Fleet.Outcome.ok() && S.Fleet.Outcome.Status != RunStatus::Canceled) {
+    std::fprintf(stderr, "nv-fuzz: fleet run failed: %s\n",
+                 S.Fleet.Outcome.str().c_str());
+    return exitCodeForOutcome(S.Fleet.Outcome);
+  }
+  std::printf("fleet: %s\n", S.Fleet.Stats.str().c_str());
+  return 0;
 }
 
 int fuzzMain(int argc, char **argv) {
@@ -649,13 +546,25 @@ int fuzzMain(int argc, char **argv) {
                           .c_str());
     return 0;
   }
-  if (!Cli->ReplayPath.empty())
-    return replay(*Cli);
+
+  bool Replay = !Cli->ReplayPath.empty();
+  const char *Mode = Replay ? "replay" : "campaign";
+  std::vector<std::string> Files;
+  if (Replay) {
+    if (std::filesystem::is_directory(Cli->ReplayPath))
+      Files = listCorpusFiles(Cli->ReplayPath);
+    else
+      Files.push_back(Cli->ReplayPath);
+    if (Files.empty()) {
+      std::fprintf(stderr, "no corpus files under %s\n",
+                   Cli->ReplayPath.c_str());
+      return 2;
+    }
+  }
 
   std::unique_ptr<ResumeLog> Log;
-  int Ec = 0;
-  if (!openFuzzResume(*Cli, "campaign", Log, Ec))
-    return Ec;
+  if (!openCliResume("nv-fuzz", Cli->ResumePath, fuzzBinding(*Cli, Mode), Log))
+    return 2;
 
   CancelToken Cancel;
   GracefulShutdown Shutdown(Cancel);
@@ -663,67 +572,29 @@ int fuzzMain(int argc, char **argv) {
 
   RunTally T;
   Stopwatch W;
-  if (Cli->Workers > 0) {
-    if (int FleetEc = campaignFleet(*Cli, Log.get(), Cancel, T, W))
-      return FleetEc;
-  } else
-  for (uint64_t I = Cli->Start;; ++I) {
-    if (Cancel.isCanceled())
-      break;
-    if (Cli->TimeBudgetSec) {
-      if (W.elapsedMs() >= Cli->TimeBudgetSec * 1000.0)
-        break;
-    } else if (I >= Cli->Start + Cli->Count) {
-      break;
-    }
-    std::string Key = "i";
-    Key += std::to_string(I);
-    if (Log) {
-      UnitRecord Rec;
-      if (Log->replay(Key, Rec) && replayInstance(Rec, T))
-        continue;
-    }
-    uint64_t Seed = mixSeed(Cli->Seed, I);
-    DiagnosticEngine Diags;
-    FuzzInstance Inst = instanceFromSeed(Seed, Diags);
-    if (Inst.NvSource.empty()) {
-      // Not journaled: generation is deterministic, so a resumed run
-      // reproduces (and re-counts) the same generator error.
-      std::printf("GENERATOR ERROR seed=0x%016llx:\n%s",
-                  static_cast<unsigned long long>(Seed),
-                  Diags.str().c_str());
-      ++T.Divergences;
-      continue;
-    }
-    InstanceResult R;
-    runOne(Inst, *Cli, T, R);
-    if (Cancel.isCanceled())
-      break; // legs drained via cancellation: not a completed unit
-    if (Log)
-      recordInstance(*Log, Key, Inst.Name, R);
-    if ((I + 1) % 100 == 0)
-      std::printf("[%llu] %llu instances, %llu divergences, %.1fs\n",
-                  static_cast<unsigned long long>(I + 1),
-                  static_cast<unsigned long long>(T.Instances),
-                  static_cast<unsigned long long>(T.Divergences),
-                  W.elapsedMs() / 1000.0);
-  }
-  std::printf("%llu instances (%llu replayed, %llu skipped, %llu retries), "
-              "%llu engine runs, %llu divergences, %.1fs\n",
-              static_cast<unsigned long long>(T.Instances),
-              static_cast<unsigned long long>(T.Replayed),
-              static_cast<unsigned long long>(T.Skipped),
-              static_cast<unsigned long long>(T.Retries),
-              static_cast<unsigned long long>(T.LegRuns),
-              static_cast<unsigned long long>(T.Divergences),
-              W.elapsedMs() / 1000.0);
+  if (int SweepEc = sweepInstances(*Cli, Files, Log.get(), W, T))
+    return SweepEc;
+  if (Replay)
+    std::printf("replayed %llu corpus instances, %llu divergences\n",
+                static_cast<unsigned long long>(T.Instances),
+                static_cast<unsigned long long>(T.Divergences));
+  else
+    std::printf("%llu instances (%llu replayed, %llu skipped, %llu retries), "
+                "%llu engine runs, %llu divergences, %.1fs\n",
+                static_cast<unsigned long long>(T.Instances),
+                static_cast<unsigned long long>(T.Replayed),
+                static_cast<unsigned long long>(T.Skipped),
+                static_cast<unsigned long long>(T.Retries),
+                static_cast<unsigned long long>(T.LegRuns),
+                static_cast<unsigned long long>(T.Divergences),
+                W.elapsedMs() / 1000.0);
   if (!Cli->JsonPath.empty() && !writeJson(Cli->JsonPath, T, W.elapsedMs()))
     return 2;
   if (Shutdown.triggered()) {
     std::fprintf(stderr,
-                 "nv-fuzz: campaign interrupted; %zu completed instance(s) "
+                 "nv-fuzz: %s interrupted; %zu completed instance(s) "
                  "journaled\n",
-                 Log ? Log->entryCount() : size_t(0));
+                 Mode, Log ? Log->entryCount() : size_t(0));
     return 3;
   }
   return T.Divergences ? 1 : 0;
